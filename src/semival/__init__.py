@@ -24,7 +24,7 @@ from .ideals import (
     make_ideal,
     positive_ideal,
 )
-from .instances import get_instance, is_unit, registered_instances, sr_add, sr_eq, sr_mul
+from .instances import get_instance, registered_instances
 from .laws import check_semiring_axioms, probe_mc_entire
 from .reports import LawReport, SampleSpec
 from .valuation import (
@@ -46,7 +46,7 @@ __all__ = [
     "fuzzy_ideal_classify", "get_instance", "get_valuation", "gp_ops",
     "ideal_member", "ideal_product", "ideal_subset", "ideal_sum",
     "ideals_comparable", "is_prime_bounded", "is_subtractive_bounded",
-    "is_unit", "level_membership", "make_ideal", "positive_ideal",
+    "level_membership", "make_ideal", "positive_ideal",
     "probe_mc_entire", "registered_instances", "registered_valuations",
-    "sr_add", "sr_eq", "sr_mul", "units_vs_zeroset", "valuate",
+    "units_vs_zeroset", "valuate",
 ]

@@ -279,6 +279,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # a bound that admits no sample would make every law hold vacuously
+        if getattr(args, "samples", 1) < 1:
+            parser.error("argument --samples: must be at least 1")
+        if getattr(args, "size_bound", 0) < 0:
+            parser.error("argument --size-bound: must be at least 0")
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.monotonic()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .content import ContentPolynomial, cp_add, cp_mul, make_content_poly
 from .ideals import IntervalIdeal, make_ideal
@@ -235,6 +236,19 @@ def _eval_element(node, instance: Semiring) -> Element:
     raise AssertionError(f"unhandled node {node!r}")
 
 
+def _depth_guarded(parse):
+    """Report input nested past the interpreter's recursion limit as a
+    parse error instead of a crash."""
+    @wraps(parse)
+    def guarded(text, *args, **kwargs):
+        try:
+            return parse(text, *args, **kwargs)
+        except RecursionError:
+            raise ParseError("expression nests too deeply", 0) from None
+    return guarded
+
+
+@_depth_guarded
 def parse_element(text: str, instance: Semiring) -> Element:
     """Parse one element of the given instance from the shared grammar."""
     return _eval_element(_parse_ast(text), instance)
@@ -273,6 +287,7 @@ def _mentions_y(node) -> bool:
     return False
 
 
+@_depth_guarded
 def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial:
     """Parse a polynomial in the fresh indeterminate Y with coefficients in
     the given instance."""
@@ -281,7 +296,8 @@ def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial
 
 def parse_ideal(text: str, instance: Semiring, dvs=None):
     """Parse ``ideal[e1, ...]`` into a finitely generated ideal, or
-    ``fuzzy[0,a]`` / ``fuzzy[0,a)`` into an interval ideal."""
+    ``fuzzy[0,a]`` / ``fuzzy[0,a)`` into an interval ideal.  Nesting is
+    bounded by ``parse_element``, which parses every part."""
     stripped = text.strip()
     if stripped.startswith("ideal[") and stripped.endswith("]"):
         inner = stripped[len("ideal["):-1]

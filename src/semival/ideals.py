@@ -1,7 +1,9 @@
 """Finitely generated ideals with per-instance membership oracles.
 
 There is no generic decision procedure for semiring ideal membership;
-each oracle below is exact on its own instance:
+each oracle below is exact on its own instance.  The first five are the
+builders of ``_ORACLES``, which turn generator payloads into a predicate
+on payloads:
 
   nat           x is a nonnegative integer combination of the generators
                 (numerical semigroup membership; see _NatSemigroup)
@@ -10,11 +12,16 @@ each oracle below is exact on its own instance:
                 contained in x equals x
   ideals-z      the ideal generated by (g1),...,(gk) is every multiple of
                 gcd(g1,...,gk)
-  fuzzy         every ideal is an interval [0,a] or [0,a); order test
+  fuzzy         every ideal is an interval [0,a] or [0,a); a generated one
+                is [0, largest generator], so membership is an order test
   tropical-nat  y is in (g) iff y >= g, so membership is y >= min generator
   semifields    only the zero ideal and the whole carrier exist
   DVS carriers  membership is v(x) >= min generator value (every nonzero
                 ideal is a uniformizer power)
+
+An ideal builds its predicate on the first ``contains`` and keeps it, so
+the generators are reduced, or valued, once per ideal.  Instances with
+none of these oracles raise UnsupportedOperationError on that first query.
 
 Subset of finitely generated ideals is exact via generator membership;
 subtractivity and primality quantify over the carrier and stay sampled.
@@ -25,8 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
+from typing import Callable
 
 from .extended import ExtendedValue
 from .instances import get_instance
@@ -142,31 +150,55 @@ def _reduce_nat_generators(values: list[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _nat_member(x: int, gens: tuple[int, ...]) -> bool:
-    if x == 0:
-        return True
-    reduced = _reduce_nat_generators(list(gens))
+def _nat_oracle(gens: list[int]):
+    reduced = _reduce_nat_generators(gens)
     if not reduced:
-        return False
+        return lambda p: p == 0
     if reduced[0] == 1:
-        return True
-    return _nat_semigroup(reduced).member(x)
+        return lambda p: True
+    return _nat_semigroup(reduced).member
 
 
-def _bool_poly_member(x: frozenset, gens: list[frozenset]) -> bool:
-    if not x:
-        return True
-    top = max(x)
-    covered: set = set()
-    for g in gens:
-        if not g:
-            continue
-        dg = max(g)
-        for shift in range(0, top - dg + 1):
-            shifted = {e + shift for e in g}
-            if shifted <= x:
-                covered |= shifted
-    return covered == set(x)
+def _bool_poly_oracle(gens: list[frozenset]):
+    # a shift of g that fits inside x lines min(g) up with an exponent of x
+    shapes = [(min(g), tuple(e - min(g) for e in g)) for g in gens if g]
+
+    def member(x: frozenset) -> bool:
+        covered: set = set()
+        for low, offsets in shapes:
+            for e in x:
+                if e >= low and all(e + o in x for o in offsets):
+                    covered.update(e + o for o in offsets)
+        return covered == x
+    return member
+
+
+def _ideals_z_oracle(gens: list[int]):
+    d = reduce(math.gcd, gens)
+    return (lambda p: p % d == 0) if d else (lambda p: p == 0)
+
+
+def _tropical_nat_oracle(gens: list):
+    finite = [g for g in gens if g is not None]
+    if not finite:
+        return lambda p: p is None
+    least = min(finite)
+    return lambda p: p is None or p >= least
+
+
+def _fuzzy_oracle(gens: list[Fraction]):
+    top = max(gens)
+    return lambda p: p <= top
+
+
+# sid -> builder: generator payloads in, membership predicate on payloads out
+_ORACLES = {
+    "nat": _nat_oracle,
+    "bool-poly": _bool_poly_oracle,
+    "ideals-z": _ideals_z_oracle,
+    "tropical-nat": _tropical_nat_oracle,
+    "fuzzy": _fuzzy_oracle,
+}
 
 
 @dataclass(frozen=True)
@@ -190,41 +222,28 @@ class FinGenIdeal:
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
 
-    def min_generator_value(self) -> ExtendedValue:
-        v: Valuation = self.dvs.valuation
-        vals = [valuate(v, g) for g in self.generators]
-        best = vals[0]
-        for val in vals[1:]:
-            if val < best:
-                best = val
-        return best
-
     def contains(self, x: Element) -> bool:
         self.instance._claim(x)
-        if self.dvs is not None:
-            if self.is_zero():
-                return x.is_zero()
-            return valuate(self.dvs.valuation, x) >= self.min_generator_value()
-        sid = self.instance.sid
-        if sid == "nat":
-            return _nat_member(x.payload, tuple(g.payload for g in self.generators))
-        if sid == "bool-poly":
-            return _bool_poly_member(x.payload, [g.payload for g in self.generators])
-        if sid == "ideals-z":
-            d = reduce(math.gcd, (g.payload for g in self.generators))
-            return x.payload % d == 0 if d else x.payload == 0
-        if sid == "fuzzy":
-            return fuzzy_ideal_classify(self.generators).contains(x)
-        if sid == "tropical-nat":
-            finite = [g.payload for g in self.generators if g.payload is not None]
-            if not finite:
-                return x.payload is None
-            return x.payload is None or x.payload >= min(finite)
-        if self.instance.caps.semifield:
-            if self.is_zero():
-                return x.is_zero()
-            return True
-        raise UnsupportedOperationError(f"{sid}: no ideal membership oracle")
+        return self._member(x)
+
+    @cached_property
+    def _member(self) -> Callable[[Element], bool]:
+        """The membership predicate, built on the first query."""
+        inst = self.instance
+        if self.dvs is None:
+            build = _ORACLES.get(inst.sid)
+            if build is not None:
+                test = build([g.payload for g in self.generators])
+                return lambda x: test(x.payload)
+            if not inst.caps.semifield:
+                raise UnsupportedOperationError(f"{inst.sid}: no ideal membership oracle")
+        if self.is_zero():
+            return Element.is_zero
+        if self.dvs is None:  # a semifield's nonzero ideals hold a unit
+            return lambda x: True
+        v = self.dvs.valuation
+        least = min(valuate(v, g) for g in self.generators)
+        return lambda x: valuate(v, x) >= least
 
     def domain_filter(self):
         if self.dvs is not None:
@@ -392,10 +411,6 @@ def positive_ideal(v: Valuation) -> LevelIdeal:
     """The prime ideal of strictly positive values inside the nonnegative
     subsemiring."""
     return LevelIdeal(v, v.zero_value, strict=True)
-
-
-def level_ideal(v: Valuation, alpha: ExtendedValue, strict: bool) -> LevelIdeal:
-    return LevelIdeal(v, alpha, strict)
 
 
 # -- interval ideals of the fuzzy instance ---------------------------------------

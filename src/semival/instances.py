@@ -24,21 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .semiring import (
-    Capabilities,
-    Element,
-    InstanceMismatchError,
-    Semiring,
-    UnsupportedOperationError,
-)
+from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
 
 
 class NatSemiring(Semiring):
     """Nonnegative integers; multiplicatively cancellative but no inverses."""
 
     sid = "nat"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False,
-                        has_ideal_membership_oracle=True)
+    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False)
     additively_cancellative = True
     payload_gcd = staticmethod(math.gcd)
 
@@ -86,8 +79,7 @@ class QnnSemiring(Semiring):
     """Nonnegative rationals; the semifield of fractions of nat."""
 
     sid = "qnn"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=True,
-                        has_ideal_membership_oracle=True)
+    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=True)
     additively_cancellative = True
 
     def _zero(self):
@@ -140,8 +132,7 @@ class BoolPolySemiring(Semiring):
     """
 
     sid = "bool-poly"
-    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False,
-                        has_ideal_membership_oracle=True)
+    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False)
 
     def _zero(self):
         return frozenset()
@@ -197,8 +188,7 @@ class FuzzySemiring(Semiring):
     """Rationals in [0,1] under max and min; entire but not cancellative."""
 
     sid = "fuzzy"
-    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False,
-                        has_ideal_membership_oracle=True)
+    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False)
 
     def _zero(self):
         return Fraction(0)
@@ -255,8 +245,7 @@ class TropicalSemiring(Semiring):
         self.sid = f"tropical-{values}"
         semifield = values == "int"
         self.caps = Capabilities(mc=True, entire=True, zerosumfree=True,
-                                 semifield=semifield,
-                                 has_ideal_membership_oracle=True)
+                                 semifield=semifield)
 
     has_infinity = True
 
@@ -327,8 +316,7 @@ class IdealsZSemiring(Semiring):
     is the integer product.  The zero ideal is 0."""
 
     sid = "ideals-z"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False,
-                        has_ideal_membership_oracle=True)
+    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False)
     payload_gcd = staticmethod(math.gcd)
 
     def _zero(self):
@@ -565,8 +553,7 @@ class FractionSemiring(Semiring):
         self.base = base
         self.sid = f"fractions({base.sid})"
         self.caps = Capabilities(mc=True, entire=True,
-                                 zerosumfree=base.caps.zerosumfree, semifield=True,
-                                 has_ideal_membership_oracle=True)
+                                 zerosumfree=base.caps.zerosumfree, semifield=True)
         self.structural_eq = base.payload_gcd is not None or base.caps.semifield
         self._bzero = base._zero()
         self._bone = base._one()
@@ -728,36 +715,11 @@ def get_instance(sid: str) -> Semiring:
     if inst is None:
         inst = _build(key)
         assert inst.sid == key, (inst.sid, key)
-        _CACHE[key] = inst
+        # concurrent builders race here; every caller gets the first one stored
+        inst = _CACHE.setdefault(key, inst)
     return inst
 
 
 def registered_instances() -> list[Semiring]:
     return [get_instance(sid) for sid in ALL_REGISTERED_IDS]
 
-
-# -- flat operation surface ----------------------------------------------------
-
-def _shared_instance(a: Element, b: Element) -> Semiring:
-    if not isinstance(a, Element) or not isinstance(b, Element):
-        raise InstanceMismatchError("semiring elements expected")
-    if a.semiring is not b.semiring:
-        raise InstanceMismatchError(
-            f"instance mismatch: {a.semiring.sid} vs {b.semiring.sid}")
-    return a.semiring
-
-
-def sr_add(a: Element, b: Element) -> Element:
-    return _shared_instance(a, b).add(a, b)
-
-
-def sr_mul(a: Element, b: Element) -> Element:
-    return _shared_instance(a, b).mul(a, b)
-
-
-def sr_eq(a: Element, b: Element) -> bool:
-    return _shared_instance(a, b).eq(a, b)
-
-
-def is_unit(a: Element) -> bool:
-    return a.semiring.is_unit(a)

@@ -34,8 +34,6 @@ class Capabilities:
     entire: bool
     zerosumfree: bool
     semifield: bool
-    has_unit_test: bool = True
-    has_ideal_membership_oracle: bool = False
 
     def __post_init__(self):
         if self.semifield and not self.mc:

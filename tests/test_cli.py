@@ -151,6 +151,30 @@ def test_usage_errors_exit_2(capsys):
                                        "--property", "bogus"])
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-5"),
+                                         ("--size-bound", "-1")])
+def test_bounds_admitting_no_samples_are_usage_errors(capsys, flag, value):
+    # "holds" over no samples would say nothing, so these never reach a check
+    code, out, err = run(capsys, "check", "--semiring", "nat", "--property",
+                         "axioms", flag, value)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: must be at least" in err
+    code, _, _ = run(capsys, "ideal", "--semiring", "nat", "--op", "subtractive",
+                     "ideal[2,3]", flag, value)
+    assert code == 2
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    deep = "(" * 2000 + "5" + ")" * 2000
+    code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
+                         "vp:5", deep)
+    assert code == 2 and out == ""
+    assert "expression nests too deeply" in err
+    code, _, err = run(capsys, "ideal", "--semiring", "nat", "--op", "contains",
+                       f"ideal[{deep}]", "5")
+    assert code == 2 and "expression nests too deeply" in err
+
+
 def test_json_reports_are_deterministic(capsys):
     argv = ["check", "--semiring", "qnn", "--valuation", "vp:5", "--property",
             "min-property", "--samples", "300", "--seed", "9", "--output", "json"]

@@ -100,6 +100,17 @@ def test_content_polynomial_parsing():
         parse_content_polynomial("Y^-1", nat)
 
 
+def test_deep_nesting_raises_parse_error():
+    nat = get_instance("nat")
+    deep = "(" * 2000 + "1" + ")" * 2000
+    for parse, text in ((parse_element, deep),
+                        (parse_content_polynomial, deep + "*Y"),
+                        (parse_ideal, f"ideal[{deep}]")):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse(text, nat)
+    assert parse_element("(" * 50 + "1" + ")" * 50, nat) == nat.one
+
+
 def test_ideal_literals():
     nat = get_instance("nat")
     I = parse_ideal("ideal[2, 3]", nat)

@@ -1,4 +1,9 @@
+import json
+import math
+import random
+import time
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -7,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from semival.ideals import (
     FinGenIdeal,
     IntervalIdeal,
-    _bool_poly_member,
-    _nat_member,
+    _bool_poly_oracle,
+    _nat_oracle,
     fuzzy_ideal_classify,
     ideal_member,
     ideal_product,
@@ -23,6 +28,8 @@ from semival.ideals import (
 )
 from semival.instances import get_instance
 from semival.reports import SampleSpec
+from semival.sampling import stream
+from semival.semiring import UnsupportedOperationError
 from semival.valuation import get_valuation
 
 SPEC = SampleSpec(1, 500, 20)
@@ -60,20 +67,20 @@ def test_nat_membership_examples():
 @given(st.integers(min_value=0, max_value=300),
        st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4))
 def test_nat_oracle_matches_brute_force(x, gens):
-    assert _nat_member(x, tuple(gens)) == brute_nat_member(x, gens)
+    assert _nat_oracle(gens)(x) == brute_nat_member(x, gens)
 
 
 def test_nat_oracle_large_generators():
     # same-scale generators exercise the congruence-pruned search route
-    gens = (47 ** 5, 47 ** 4 * 49, 47 ** 3 * 49 ** 2, 49 ** 5)
-    assert _nat_member(47 ** 5 + 49 ** 5, gens)
-    assert _nat_member(0, gens)
-    assert not _nat_member(47 ** 5 + 1, gens)
+    member = _nat_oracle([47 ** 5, 47 ** 4 * 49, 47 ** 3 * 49 ** 2, 49 ** 5])
+    assert member(47 ** 5 + 49 ** 5)
+    assert member(0)
+    assert not member(47 ** 5 + 1)
     # mixed scales exercise the residue-table route
-    gens = (6, 10, 47 ** 4)
-    assert not _nat_member(15, gens)  # odd, below the huge odd generator
-    assert _nat_member(47 ** 4 + 3, gens)  # even and large, so reachable
-    assert _nat_member(47 ** 4 + 16, gens)
+    member = _nat_oracle([6, 10, 47 ** 4])
+    assert not member(15)  # odd, below the huge odd generator
+    assert member(47 ** 4 + 3)  # even and large, so reachable
+    assert member(47 ** 4 + 16)
 
 
 # -- bool-poly membership --------------------------------------------------------
@@ -103,6 +110,10 @@ def brute_bool_member(x, gens):
     return False
 
 
+def _bool_poly_member(x, gens):
+    return _bool_poly_oracle(gens)(x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
        st.lists(st.frozensets(st.integers(min_value=0, max_value=3),
@@ -110,6 +121,22 @@ def brute_bool_member(x, gens):
                 min_size=1, max_size=2))
 def test_bool_poly_oracle_matches_brute_force(x, gens):
     assert _bool_poly_member(x, gens) == brute_bool_member(x, gens)
+
+
+def test_bool_poly_oracle_cost_follows_terms_not_degree(capsys):
+    # only shifts lining a generator's least exponent up with an exponent of
+    # x can fit, so a huge degree with few terms answers at once
+    from semival.cli import main
+    t0 = time.monotonic()
+    code = main(["ideal", "--semiring", "bool-poly", "--op", "contains",
+                 "--output", "json", "ideal[X]", "X^100000000"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "true"
+    bp = get_instance("bool-poly")
+    I = make_ideal(bp, [bp.element({0, 2})])
+    assert ideal_member(I, bp.element({10 ** 8, 10 ** 8 + 2}))
+    assert not ideal_member(I, bp.element({10 ** 8, 10 ** 8 + 1}))
+    assert time.monotonic() - t0 < 5
 
 
 def test_bool_poly_incomparable_pair():
@@ -307,3 +334,122 @@ def test_zero_and_generators_belong_to_every_ideal():
             assert ideal_member(I, inst.zero), sid
             for g in gens:
                 assert ideal_member(I, g), (sid, str(g))
+
+
+def test_no_oracle_ideals_build_and_combine_until_queried():
+    # the missing oracle surfaces at the first membership query, and again at
+    # every later one; building, sums and products never need it
+    poly = get_instance("poly(nat)")
+    x = poly.indeterminate()
+    I = make_ideal(poly, [x, poly.one])
+    J = ideal_product(ideal_sum(I, I), I)
+    assert len(J.generators) == 3
+    for _ in range(2):
+        with pytest.raises(UnsupportedOperationError):
+            J.contains(x)
+
+
+def test_membership_predicate_is_built_once_per_ideal(monkeypatch):
+    from semival import ideals
+    builds = []
+    real = ideals._ORACLES["nat"]
+
+    def counting(gens):
+        builds.append(gens)
+        return real(gens)
+
+    monkeypatch.setitem(ideals._ORACLES, "nat", counting)
+    nat = get_instance("nat")
+    I = make_ideal(nat, [nat.element(4), nat.element(6)])
+    assert builds == []
+    assert [k for k in range(12) if I.contains(nat.element(k))] == [0, 4, 6, 8, 10]
+    assert builds == [[4, 6]]
+
+
+# -- every oracle against an independent reference --------------------------------
+#
+# Each reference decides x in (g1..gk) from the definition, as a search for
+# multipliers r_i with x = r_1 g_1 + ... + r_k g_k, or by exhibiting one.
+
+def ref_nat(x, gens):
+    return brute_nat_member(x.payload, [g.payload for g in gens])
+
+
+def ref_bool_poly(x, gens):
+    # a sum of shifted generators is their union: take every shift fitting in x
+    x = x.payload
+    shifts = [{e + k for e in g.payload}
+              for g in gens for k in range(max(x, default=0) + 1)]
+    return set().union(*(s for s in shifts if s <= x)) == x
+
+
+def ref_ideals_z(x, gens):
+    # sums are gcds; x = m * gcd takes r_i = m <= x
+    x = x.payload
+    return any(reduce(math.gcd, (r * g.payload for r, g in zip(rs, gens))) == x
+               for rs in product(range(x + 1), repeat=len(gens)))
+
+
+def ref_fuzzy(x, gens):
+    # sums are max and products min; every r_i can be taken from {0, x}
+    x = x.payload
+    return any(max(min(r, g.payload) for r, g in zip(rs, gens)) == x
+               for rs in product((Fraction(0), x), repeat=len(gens)))
+
+
+def ref_tropical_nat(x, gens):
+    # sums are min and products +, with inf (None) as the zero
+    x = x.payload
+
+    def total(rs):
+        terms = [r + g.payload for r, g in zip(rs, gens)
+                 if r is not None and g.payload is not None]
+        return min(terms) if terms else None
+
+    options = (None,) + tuple(range((x or 0) + 1))
+    return any(total(rs) == x for rs in product(options, repeat=len(gens)))
+
+
+def ref_semifield(x, gens):
+    # a nonzero generator is a unit, so it generates everything
+    return x.is_zero() or any(not g.is_zero() for g in gens)
+
+
+def ref_dvs(D):
+    # x = (x / g) * g, with x / g in the carrier
+    def ref(x, gens):
+        return x.is_zero() or any(not g.is_zero() and D.contains(D.ambient.div(x, g))
+                                  for g in gens)
+    return ref
+
+
+ORACLE_CARRIERS = {
+    "nat": ref_nat, "bool-poly": ref_bool_poly, "ideals-z": ref_ideals_z,
+    "fuzzy": ref_fuzzy, "tropical-nat": ref_tropical_nat, "qnn": ref_semifield,
+}
+
+
+@pytest.mark.parametrize("carrier", list(ORACLE_CARRIERS) + [
+    "qnn at 5", "tropical naturals", "degree-bounded fractions",
+    "integer ideals at (5)"])
+def test_oracle_agrees_with_reference(carrier):
+    from semival.dvs import standard_dvs_structures
+    spec = SampleSpec(3, 40, 10)
+    if carrier in ORACLE_CARRIERS:
+        D, inst, ref = None, get_instance(carrier), ORACLE_CARRIERS[carrier]
+        pool = stream(inst, spec, salt="oracle-reference")
+    else:
+        D = next(D for D in standard_dvs_structures() if D.name == carrier)
+        inst, ref = D.ambient, ref_dvs(D)
+        pool = D.sample_carrier(spec, salt="oracle-reference")
+    rng = random.Random(f"oracle-reference:{carrier}")
+    generator_lists = [[inst.zero]] + [rng.sample(pool, rng.randint(1, 3))
+                                       for _ in range(6)]
+    verdicts = set()
+    for gens in generator_lists:
+        I = make_ideal(inst, gens, dvs=D)
+        expected = [ref(x, gens) for x in pool]
+        verdicts.update(expected)
+        for _ in range(2):  # the second pass runs the stored predicate
+            assert [I.contains(x) for x in pool] == expected, [str(g) for g in gens]
+    assert verdicts == {True, False}

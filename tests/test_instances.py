@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semival.instances import (
-    ALL_REGISTERED_IDS,
-    get_instance,
-    is_unit,
-    sr_add,
-    sr_eq,
-    sr_mul,
-)
+from semival.instances import ALL_REGISTERED_IDS, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
 from semival.semiring import InstanceMismatchError, UnsupportedOperationError
@@ -38,26 +31,26 @@ def test_capability_consistency():
 
 def test_tropical_examples():
     trop = get_instance("tropical-int")
-    assert str(sr_add(trop.element(3), trop.element(5))) == "3"
-    assert str(sr_mul(trop.element(3), trop.element(5))) == "8"
-    assert sr_add(trop.infinity(), trop.element(4)) == trop.element(4)
-    assert sr_mul(trop.infinity(), trop.element(4)) == trop.infinity()
+    assert str(trop.add(trop.element(3), trop.element(5))) == "3"
+    assert str(trop.mul(trop.element(3), trop.element(5))) == "8"
+    assert trop.add(trop.infinity(), trop.element(4)) == trop.element(4)
+    assert trop.mul(trop.infinity(), trop.element(4)) == trop.infinity()
     assert trop.zero == trop.infinity()
     assert trop.one == trop.element(0)
 
 
 def test_ideals_z_examples():
     idz = get_instance("ideals-z")
-    assert sr_add(idz.element(4), idz.element(6)) == idz.element(2)
-    assert sr_mul(idz.element(4), idz.element(6)) == idz.element(24)
-    assert sr_add(idz.element(0), idz.element(7)) == idz.element(7)
+    assert idz.add(idz.element(4), idz.element(6)) == idz.element(2)
+    assert idz.mul(idz.element(4), idz.element(6)) == idz.element(24)
+    assert idz.add(idz.element(0), idz.element(7)) == idz.element(7)
 
 
 def test_fuzzy_examples():
     fz = get_instance("fuzzy")
     half, threq = fz.element(Fraction(1, 2)), fz.element(Fraction(3, 4))
-    assert sr_add(half, threq) == threq
-    assert sr_mul(half, threq) == half
+    assert fz.add(half, threq) == threq
+    assert fz.mul(half, threq) == half
     with pytest.raises(ValueError):
         fz.element(Fraction(5, 4))
 
@@ -65,42 +58,42 @@ def test_fuzzy_examples():
 def test_bool_poly_idempotent_addition():
     bp = get_instance("bool-poly")
     x = bp.indeterminate()
-    assert sr_eq(sr_add(x, x), x)
+    assert bp.eq(bp.add(x, x), x)
     one = bp.one
-    assert sr_mul(sr_add(one, x), sr_add(one, x)) == bp.element({0, 1, 2})
-    assert str(sr_add(one, x)) == "1 + X"
+    assert bp.mul(bp.add(one, x), bp.add(one, x)) == bp.element({0, 1, 2})
+    assert str(bp.add(one, x)) == "1 + X"
 
 
 def test_monoid_semiring_negative_exponents():
     lau = get_instance("laurent(nat)")
     x = lau.indeterminate()
     xinv = lau.inv(x)
-    assert sr_mul(x, xinv) == lau.one
+    assert lau.mul(x, xinv) == lau.one
     poly = get_instance("poly(nat)")
     with pytest.raises(UnsupportedOperationError):
         poly.inv(poly.indeterminate())
     monq = get_instance("monoid(nat,Q)")
     half_x = monq.element(monq.monomial_payload(Fraction(1, 2), 1))
-    assert sr_mul(half_x, half_x) == monq.indeterminate()
+    assert monq.mul(half_x, half_x) == monq.indeterminate()
 
 
 def test_unit_closed_forms():
     nat = get_instance("nat")
-    assert is_unit(nat.one) and not is_unit(nat.element(2))
+    assert nat.is_unit(nat.one) and not nat.is_unit(nat.element(2))
     qnn = get_instance("qnn")
-    assert is_unit(qnn.element(Fraction(7, 3)))
-    assert not is_unit(qnn.zero)
+    assert qnn.is_unit(qnn.element(Fraction(7, 3)))
+    assert not qnn.is_unit(qnn.zero)
     tn = get_instance("tropical-nat")
-    assert is_unit(tn.element(0)) and not is_unit(tn.element(1))
+    assert tn.is_unit(tn.element(0)) and not tn.is_unit(tn.element(1))
     ti = get_instance("tropical-int")
-    assert is_unit(ti.element(-3)) and not is_unit(ti.infinity())
+    assert ti.is_unit(ti.element(-3)) and not ti.is_unit(ti.infinity())
     poly = get_instance("poly(nat)")
-    assert is_unit(poly.one)
-    assert not is_unit(poly.add(poly.one, poly.indeterminate()))
+    assert poly.is_unit(poly.one)
+    assert not poly.is_unit(poly.add(poly.one, poly.indeterminate()))
     idz = get_instance("ideals-z")
-    assert is_unit(idz.one) and not is_unit(idz.element(5))
+    assert idz.is_unit(idz.one) and not idz.is_unit(idz.element(5))
     frs = get_instance("fractions(poly(nat))")
-    assert is_unit(frs.indeterminate()) and not is_unit(frs.zero)
+    assert frs.is_unit(frs.indeterminate()) and not frs.is_unit(frs.zero)
 
 
 def test_semifield_inverses_multiply_to_one():
@@ -113,7 +106,7 @@ def test_semifield_inverses_multiply_to_one():
             a = inst.sample(rng, 20)
             if a.is_zero():
                 continue
-            assert sr_mul(a, inst.inv(a)) == inst.one, (sid, str(a))
+            assert inst.mul(a, inst.inv(a)) == inst.one, (sid, str(a))
 
 
 def test_fraction_cross_multiplication_equality():
@@ -137,7 +130,7 @@ def test_fraction_cross_multiplication_equality():
 def test_instance_mismatch_raises():
     nat, qnn = get_instance("nat"), get_instance("qnn")
     with pytest.raises(InstanceMismatchError):
-        sr_add(nat.element(1), qnn.element(1))
+        nat.add(nat.element(1), qnn.element(1))
     assert not nat.element(1) == qnn.element(1)
 
 
@@ -211,3 +204,41 @@ def test_laurent_arithmetic_matches_dict_convolution(p, q):
     a, b = lau.element(p), lau.element(q)
     assert dict(lau.add(a, b).payload) == _dict_add(p, q)
     assert dict(lau.mul(a, b).payload) == _dict_mul(p, q)
+
+
+def test_concurrent_resolution_yields_one_instance(monkeypatch):
+    # four threads miss the cache together and each builds its own object;
+    # all of them must get back the one that was published first
+    import threading
+    import time
+
+    from semival import instances
+
+    sid = "laurent(fuzzy)"  # resolved by no other test, so never cached yet
+    monkeypatch.delitem(instances._CACHE, sid, raising=False)
+    real_build = instances._build
+
+    def slow_build(key):
+        inst = real_build(key)
+        time.sleep(0.05)
+        return inst
+
+    monkeypatch.setattr(instances, "_build", slow_build)
+    start = threading.Barrier(4, timeout=30)
+    got = []
+
+    def resolve():
+        start.wait()
+        got.append(get_instance(sid))
+
+    threads = [threading.Thread(target=resolve) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert len(got) == 4
+    assert all(inst is got[0] for inst in got)
+    assert get_instance(sid) is got[0]
+    x = got[1].indeterminate()
+    assert got[2].mul(x, got[3].one) == x
