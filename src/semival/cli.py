@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .content import dedekind_mertens_check, gaussian_check, sample_content_polys
+from .content import content_pairs, dedekind_mertens_check, gaussian_check
 from .dvs import (
     DVSStructure,
     dvs_normal_form,
@@ -25,6 +25,7 @@ from .fracfield import extend_valuation
 from .grammar import ParseError, parse_element, parse_ideal
 from .ideals import (
     IntervalIdeal,
+    fuzzy_ideal_classify,
     ideal_product,
     ideal_sum,
     ideals_comparable,
@@ -45,12 +46,6 @@ from .valuation import (
     check_valuation_axioms,
     get_valuation,
     units_vs_zeroset,
-)
-
-PROPERTIES = (
-    "axioms", "mc", "entire", "min-property", "subtractive", "prime",
-    "total-order", "gaussian", "dedekind-mertens", "units-zeroset",
-    "extension-axioms",
 )
 
 
@@ -97,20 +92,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="run one named law check")
     _add_common(p)
-    p.add_argument("--property", required=True, choices=PROPERTIES)
+    p.add_argument("--property", required=True, choices=CHECKS)
 
     p = subs.add_parser("suite", help="run the full acceptance matrix")
     p.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 
 
-def _report(command: str, args, verdict: str, *, prop: str | None = None,
+def _report(args, verdict: str, *, prop: str | None = None,
             witness=(), result: str | None = None, start: float) -> dict:
     bound = {"seed": getattr(args, "seed", None),
              "samples": getattr(args, "samples", None),
              "size_bound": getattr(args, "size_bound", None)}
     return {
-        "command": command,
+        "command": args.command,
         "instance": getattr(args, "semiring", None),
         "valuation": getattr(args, "valuation", None),
         "property": prop,
@@ -132,68 +127,21 @@ def _need_dvs(args) -> DVSStructure:
     return dvs_structure(args.valuation, get_instance(args.semiring))
 
 
-def _law_outcome(report: LawReport):
-    return (0 if report.holds else 1), report
+def _axioms(args, instance, valuation, spec: SampleSpec) -> LawReport:
+    if valuation is not None:
+        return check_valuation_axioms(valuation, spec)
+    return check_semiring_axioms(instance, spec)
 
 
-def _run_check(args):
-    instance = get_instance(args.semiring)
-    spec = _spec(args)
-    prop = args.property
-    valuation = None
-    if args.valuation:
-        valuation = get_valuation(args.valuation, instance)
-    if prop == "axioms":
-        if valuation is not None:
-            return _law_outcome(check_valuation_axioms(valuation, spec))
-        return _law_outcome(check_semiring_axioms(instance, spec))
-    if prop in ("mc", "entire"):
-        mc, entire = probe_mc_entire(instance, spec)
-        return _law_outcome(mc if prop == "mc" else entire)
-    if prop == "min-property":
-        if valuation is None:
-            raise UsageError("min-property needs --valuation")
-        report = check_min_property(valuation, spec)
-        if report.holds:
-            return 0, LawReport("min-property", "holds", spec)
-        return 1, LawReport("min-property", "counterexample", spec,
-                            (report.x, report.y),
-                            f"v(x)={report.vx} v(y)={report.vy} v(x+y)={report.vsum}")
-    if prop == "subtractive":
-        if valuation is None:
-            raise UsageError("subtractive needs --valuation (checks the positive ideal)")
-        return _law_outcome(is_subtractive_bounded(positive_ideal(valuation), spec))
-    if prop == "prime":
-        if valuation is None:
-            raise UsageError("prime needs --valuation (checks the positive ideal)")
-        return _law_outcome(is_prime_bounded(positive_ideal(valuation), spec))
-    if prop == "units-zeroset":
-        if valuation is None:
-            raise UsageError("units-zeroset needs --valuation")
-        return _law_outcome(units_vs_zeroset(valuation, spec))
-    if prop == "extension-axioms":
-        if valuation is None:
-            raise UsageError("extension-axioms needs --valuation")
-        return _law_outcome(check_valuation_axioms(extend_valuation(valuation), spec))
-    if prop == "total-order":
-        return _law_outcome(_total_order_check(args, instance, spec))
-    if prop in ("gaussian", "dedekind-mertens"):
-        carrier = _need_dvs(args) if args.valuation else instance
-        if prop == "gaussian":
-            return _law_outcome(gaussian_check(carrier, spec))
-        polys = sample_content_polys(carrier, SampleSpec(spec.seed, 2 * spec.count,
-                                                         spec.size_bound))
-        half = len(polys) // 2
-        dvs = carrier if isinstance(carrier, DVSStructure) else None
-        for f, g in list(zip(polys[:half], polys[half:]))[: spec.count]:
-            report = dedekind_mertens_check(f, g, dvs, spec)
-            if not report.holds:
-                return 1, report
-        return 0, LawReport("dedekind-mertens", "holds", spec)
-    raise UsageError(f"unknown property {prop!r}")
+def _min_property(args, instance, valuation, spec: SampleSpec) -> LawReport:
+    report = check_min_property(valuation, spec)
+    if report.holds:
+        return LawReport("min-property", "holds", spec)
+    return LawReport("min-property", "counterexample", spec, (report.x, report.y),
+                     f"v(x)={report.vx} v(y)={report.vy} v(x+y)={report.vsum}")
 
 
-def _total_order_check(args, instance, spec: SampleSpec) -> LawReport:
+def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport:
     law = f"ideals-total-order[{instance.sid}]"
     dvs = None
     if args.valuation:
@@ -221,58 +169,112 @@ def _total_order_check(args, instance, spec: SampleSpec) -> LawReport:
     return LawReport(law, "holds", spec)
 
 
-def _run_ideal(args):
+def _gaussian(args, instance, valuation, spec: SampleSpec) -> LawReport:
+    return gaussian_check(_need_dvs(args) if args.valuation else instance, spec)
+
+
+def _dedekind_mertens(args, instance, valuation, spec: SampleSpec) -> LawReport:
+    dvs = _need_dvs(args) if args.valuation else None
+    for f, g in content_pairs(dvs or instance, spec):
+        report = dedekind_mertens_check(f, g, dvs, spec)
+        if not report.holds:
+            return report
+    return LawReport("dedekind-mertens", "holds", spec)
+
+
+# property -> (check(args, instance, valuation, spec) -> LawReport, the usage
+# error when the check needs --valuation, else None); in --help order
+CHECKS = {
+    "axioms": (_axioms, None),
+    "mc": (lambda args, inst, v, spec: probe_mc_entire(inst, spec)[0], None),
+    "entire": (lambda args, inst, v, spec: probe_mc_entire(inst, spec)[1], None),
+    "min-property": (_min_property, "min-property needs --valuation"),
+    "subtractive": (lambda args, inst, v, spec:
+                    is_subtractive_bounded(positive_ideal(v), spec),
+                    "subtractive needs --valuation (checks the positive ideal)"),
+    "prime": (lambda args, inst, v, spec: is_prime_bounded(positive_ideal(v), spec),
+              "prime needs --valuation (checks the positive ideal)"),
+    "total-order": (_total_order_check, None),
+    "gaussian": (_gaussian, None),
+    "dedekind-mertens": (_dedekind_mertens, None),
+    "units-zeroset": (lambda args, inst, v, spec: units_vs_zeroset(v, spec),
+                      "units-zeroset needs --valuation"),
+    "extension-axioms": (lambda args, inst, v, spec:
+                         check_valuation_axioms(extend_valuation(v), spec),
+                         "extension-axioms needs --valuation"),
+}
+
+
+def _run_check(args) -> LawReport:
+    instance = get_instance(args.semiring)
+    spec = _spec(args)
+    check, needs_valuation = CHECKS[args.property]
+    valuation = get_valuation(args.valuation, instance) if args.valuation else None
+    if valuation is None and needs_valuation:
+        raise UsageError(needs_valuation)
+    return check(args, instance, valuation, spec)
+
+
+def _as_interval(ideal) -> IntervalIdeal:
+    if isinstance(ideal, IntervalIdeal):
+        return ideal
+    return fuzzy_ideal_classify(ideal.generators)
+
+
+def _run_ideal(args) -> tuple[LawReport, str | None]:
+    """One ideal operation: its report, and its exact answer as text (None
+    for the sampled checks)."""
     instance = get_instance(args.semiring)
     spec = _spec(args)
     dvs = dvs_structure(args.valuation, instance) if args.valuation else None
-
-    def as_ideal(text):
-        parsed = parse_ideal(text, instance, dvs=dvs)
-        return parsed
-
     op = args.op
-    if op in ("sum", "product"):
-        if len(args.args) != 2:
-            raise UsageError(f"{op} takes two ideal literals")
-        I, J = as_ideal(args.args[0]), as_ideal(args.args[1])
-        if isinstance(I, IntervalIdeal) or isinstance(J, IntervalIdeal):
-            raise UsageError("sum/product apply to generator-list ideals")
-        out = ideal_sum(I, J) if op == "sum" else ideal_product(I, J)
-        return 0, LawReport(f"ideal-{op}", "holds", detail=str(out)), str(out)
+    if len(args.args) != (1 if op == "subtractive" else 2):
+        operands = {"subtractive": "one ideal literal",
+                    "contains": "an ideal literal and an element"}
+        raise UsageError(f"{op} takes {operands.get(op, 'two ideal literals')}")
+    I = parse_ideal(args.args[0], instance, dvs=dvs)
+    if op == "subtractive":
+        return is_subtractive_bounded(I, spec), None
     if op == "contains":
-        if len(args.args) != 2:
-            raise UsageError("contains takes an ideal literal and an element")
-        I = as_ideal(args.args[0])
         x = parse_element(args.args[1], instance)
         verdict = I.contains(x)
         report = LawReport("ideal-contains", "holds" if verdict else "counterexample",
                            witness=(x,), detail=f"member of {I}" if verdict else
                            f"not a member of {I}")
-        return (0 if verdict else 1), report, str(verdict).lower()
+        return report, str(verdict).lower()
+    J = parse_ideal(args.args[1], instance, dvs=dvs)
+    intervals = isinstance(I, IntervalIdeal) or isinstance(J, IntervalIdeal)
     if op == "comparable":
-        if len(args.args) != 2:
-            raise UsageError("comparable takes two ideal literals")
-        I, J = as_ideal(args.args[0]), as_ideal(args.args[1])
-        if isinstance(I, IntervalIdeal) and isinstance(J, IntervalIdeal):
-            ok = interval_comparable(I, J)
-            report = LawReport("ideals-comparable", "holds" if ok else "counterexample")
-            return (0 if ok else 1), report, str(ok).lower()
-        return _law_outcome(ideals_comparable(I, J, spec)) + (None,)
-    if op == "subtractive":
-        if len(args.args) != 1:
-            raise UsageError("subtractive takes one ideal literal")
-        return _law_outcome(is_subtractive_bounded(as_ideal(args.args[0]), spec)) + (None,)
-    raise UsageError(f"unknown ideal operation {op!r}")
+        if not intervals:
+            return ideals_comparable(I, J, spec), None
+        # every fuzzy ideal is an interval, so the generated side is one too
+        ok = interval_comparable(_as_interval(I), _as_interval(J))
+        return (LawReport("ideals-comparable", "holds" if ok else "counterexample"),
+                str(ok).lower())
+    if intervals:
+        raise UsageError("sum/product apply to generator-list ideals")
+    out = ideal_sum(I, J) if op == "sum" else ideal_product(I, J)
+    return LawReport(f"ideal-{op}", "holds", detail=str(out)), str(out)
 
 
-def _emit(payload: dict, report, output: str, extra_lines=()):
-    if output == "json":
-        print(json.dumps(payload))
-    else:
-        for line in extra_lines:
-            print(line)
-        if report is not None:
-            print(report)
+def _calculate(args) -> tuple[str, str]:
+    """valuate, factor or divmod: the printed line and the JSON result."""
+    if args.command == "valuate":
+        instance = get_instance(args.semiring)
+        if not args.valuation:
+            raise UsageError("valuate needs --valuation")
+        v = get_valuation(args.valuation, instance)
+        value = str(v(parse_element(args.element, instance)))
+        return value, value
+    D = _need_dvs(args)
+    if args.command == "factor":
+        unit, n = dvs_normal_form(D, parse_element(args.element, D.ambient))
+        return (f"unit = {unit}, exponent = {n} (t = {D.uniformizer})",
+                f"({unit}, {n})")
+    a = parse_element(args.dividend, D.ambient)
+    b = parse_element(args.divisor, D.ambient)
+    q, r = euclidean_divide(D, a, b)
+    return f"q = {q}, r = {r}", f"({q}, {r})"
 
 
 def main(argv=None) -> int:
@@ -302,55 +304,21 @@ def main(argv=None) -> int:
                       else "some criteria FAILED")
             return 0 if ok else 1
 
-        if args.command == "valuate":
-            instance = get_instance(args.semiring)
-            if not args.valuation:
-                raise UsageError("valuate needs --valuation")
-            v = get_valuation(args.valuation, instance)
-            x = parse_element(args.element, instance)
-            value = str(v(x))
-            payload = _report("valuate", args, "ok", result=value, start=start)
-            _emit(payload, None, args.output, extra_lines=[value])
-            return 0
-
-        if args.command == "factor":
-            D = _need_dvs(args)
-            x = parse_element(args.element, D.ambient)
-            unit, n = dvs_normal_form(D, x)
-            text = f"unit = {unit}, exponent = {n} (t = {D.uniformizer})"
-            payload = _report("factor", args, "ok", result=f"({unit}, {n})",
-                              start=start)
-            _emit(payload, None, args.output, extra_lines=[text])
-            return 0
-
-        if args.command == "divmod":
-            D = _need_dvs(args)
-            a = parse_element(args.dividend, D.ambient)
-            b = parse_element(args.divisor, D.ambient)
-            q, r = euclidean_divide(D, a, b)
-            text = f"q = {q}, r = {r}"
-            payload = _report("divmod", args, "ok", result=f"({q}, {r})",
-                              start=start)
-            _emit(payload, None, args.output, extra_lines=[text])
-            return 0
-
         if args.command == "ideal":
-            outcome = _run_ideal(args)
-            code, report = outcome[0], outcome[1]
-            result = outcome[2] if len(outcome) > 2 else None
-            payload = _report("ideal", args, report.verdict, prop=args.op,
-                              witness=report.witness, result=result, start=start)
-            _emit(payload, report, args.output)
-            return code
-
-        if args.command == "check":
-            code, report = _run_check(args)
-            payload = _report("check", args, report.verdict, prop=args.property,
-                              witness=report.witness, start=start)
-            _emit(payload, report, args.output)
-            return code
-
-        raise UsageError(f"unknown command {args.command!r}")
+            report, result = _run_ideal(args)
+            prop = args.op
+        elif args.command == "check":
+            report, result = _run_check(args), None
+            prop = args.property
+        else:
+            line, result = _calculate(args)
+            payload = _report(args, "ok", result=result, start=start)
+            print(json.dumps(payload) if args.output == "json" else line)
+            return 0
+        payload = _report(args, report.verdict, prop=prop, witness=report.witness,
+                          result=result, start=start)
+        print(json.dumps(payload) if args.output == "json" else report)
+        return 0 if report.holds else 1
     except (UsageError, ParseError, InstanceMismatchError,
             UnsupportedOperationError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

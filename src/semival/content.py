@@ -172,6 +172,16 @@ def sample_content_polys(carrier, spec: SampleSpec, salt: str = "",
     return polys[: spec.count]
 
 
+def content_pairs(carrier, spec: SampleSpec) -> list[tuple[ContentPolynomial,
+                                                           ContentPolynomial]]:
+    """At most spec.count pairs: 2 * spec.count polynomials are sampled and
+    the first half is paired with the second."""
+    polys = sample_content_polys(carrier, SampleSpec(spec.seed, 2 * spec.count,
+                                                     spec.size_bound))
+    half = len(polys) // 2
+    return list(zip(polys[:half], polys[half:]))
+
+
 def gaussian_check(carrier, spec: SampleSpec,
                    max_degree: int = 4) -> LawReport:
     """Sampled search over polynomial pairs for a content-product failure."""

@@ -39,7 +39,7 @@ from typing import Callable
 from .extended import ExtendedValue
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .sampling import pair_stream, stream
+from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
 from .valuation import Valuation, in_valuation_semiring, level_membership, valuate
 
@@ -250,9 +250,6 @@ class FinGenIdeal:
             return self.dvs.contains
         return None
 
-    def sample_domain(self, spec: SampleSpec, salt: str = "") -> list[Element]:
-        return stream(self.instance, spec, salt=salt, keep=self.domain_filter())
-
     def __str__(self) -> str:
         return "ideal[" + ", ".join(str(g) for g in self.generators) + "]"
 
@@ -399,9 +396,6 @@ class LevelIdeal:
         v = self.valuation
         return lambda x: in_valuation_semiring(v, x)
 
-    def sample_domain(self, spec: SampleSpec, salt: str = "") -> list[Element]:
-        return stream(self.instance, spec, salt=salt, keep=self.domain_filter())
-
     def __str__(self) -> str:
         cmp = ">" if self.strict else ">="
         return f"{{v {cmp} {self.alpha}}} of {self.valuation.rule}"
@@ -435,9 +429,6 @@ class IntervalIdeal:
 
     def domain_filter(self):
         return None
-
-    def sample_domain(self, spec: SampleSpec, salt: str = "") -> list[Element]:
-        return stream(self.instance, spec, salt=salt)
 
     def subset_of(self, other: "IntervalIdeal") -> bool:
         if self.endpoint != other.endpoint:

@@ -51,22 +51,11 @@ class NatSemiring(Semiring):
         if isinstance(p, Fraction) and p.denominator == 1:
             p = int(p)
         if not isinstance(p, int) or p < 0:
-            raise ValueError(f"nat payload must be a nonnegative int, got {p!r}")
+            raise ValueError(f"{self.sid} payload must be a nonnegative int, got {p!r}")
         return p
 
     def _is_unit(self, p):
         return p == 1
-
-    def _inv(self, p):
-        if p == 1:
-            return 1
-        raise UnsupportedOperationError("nat: only 1 is invertible")
-
-    def _from_literal(self, q):
-        return self._canon(q)
-
-    def _text(self, p):
-        return str(p)
 
     def _random(self, rng, bound):
         return rng.randint(0, max(1, bound))
@@ -109,12 +98,6 @@ class QnnSemiring(Semiring):
             raise UnsupportedOperationError("qnn: zero is not invertible")
         return 1 / p
 
-    def _from_literal(self, q):
-        return self._canon(q)
-
-    def _text(self, p):
-        return str(p)
-
     def _random(self, rng, bound):
         b = max(1, bound)
         return Fraction(rng.randint(0, b), rng.randint(1, b))
@@ -154,11 +137,6 @@ class BoolPolySemiring(Semiring):
 
     def _is_unit(self, p):
         return p == frozenset((0,))
-
-    def _inv(self, p):
-        if self._is_unit(p):
-            return p
-        raise UnsupportedOperationError("bool-poly: only 1 is invertible")
 
     def _from_literal(self, q):
         if not isinstance(q, int) or q < 0:
@@ -212,17 +190,6 @@ class FuzzySemiring(Semiring):
     def _is_unit(self, p):
         return p == 1
 
-    def _inv(self, p):
-        if p == 1:
-            return p
-        raise UnsupportedOperationError("fuzzy: only 1 is invertible")
-
-    def _from_literal(self, q):
-        return self._canon(q)
-
-    def _text(self, p):
-        return str(p)
-
     def _random(self, rng, bound):
         den = rng.randint(1, min(max(2, bound), 12))
         return Fraction(rng.randint(0, den), den)
@@ -246,8 +213,6 @@ class TropicalSemiring(Semiring):
         semifield = values == "int"
         self.caps = Capabilities(mc=True, entire=True, zerosumfree=True,
                                  semifield=semifield)
-
-    has_infinity = True
 
     def _zero(self):
         return None
@@ -290,9 +255,6 @@ class TropicalSemiring(Semiring):
             raise UnsupportedOperationError("tropical-nat: only 0 is invertible")
         return -p
 
-    def _from_literal(self, q):
-        return self._canon(q)
-
     def infinity(self):
         return Element(self, None)
 
@@ -311,49 +273,15 @@ class TropicalSemiring(Semiring):
         return (None, 0, 1, -1, 3)
 
 
-class IdealsZSemiring(Semiring):
+class IdealsZSemiring(NatSemiring):
     """Ideals of the integers by nonnegative generator: sum is gcd, product
     is the integer product.  The zero ideal is 0."""
 
     sid = "ideals-z"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False)
-    payload_gcd = staticmethod(math.gcd)
-
-    def _zero(self):
-        return 0
-
-    def _one(self):
-        return 1
+    additively_cancellative = False
 
     def _add(self, p, q):
         return math.gcd(p, q)
-
-    def _mul(self, p, q):
-        return p * q
-
-    def _canon(self, p):
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        if not isinstance(p, int) or p < 0:
-            raise ValueError(f"ideals-z payload must be a nonnegative int, got {p!r}")
-        return p
-
-    def _is_unit(self, p):
-        return p == 1
-
-    def _inv(self, p):
-        if p == 1:
-            return 1
-        raise UnsupportedOperationError("ideals-z: only (1) is invertible")
-
-    def _from_literal(self, q):
-        return self._canon(q)
-
-    def _text(self, p):
-        return str(p)
-
-    def _random(self, rng, bound):
-        return rng.randint(0, max(1, bound))
 
     def _preamble(self):
         return (0, 1, 2, 5, 6)
@@ -650,9 +578,17 @@ class FractionSemiring(Semiring):
 
 _CACHE: dict[str, Semiring] = {}
 
-BASE_INSTANCE_IDS = (
-    "nat", "qnn", "bool-poly", "fuzzy", "tropical-nat", "tropical-int", "ideals-z",
-)
+_BASE_FACTORIES = {
+    "nat": NatSemiring,
+    "qnn": QnnSemiring,
+    "bool-poly": BoolPolySemiring,
+    "fuzzy": FuzzySemiring,
+    "tropical-nat": lambda: TropicalSemiring("nat"),
+    "tropical-int": lambda: TropicalSemiring("int"),
+    "ideals-z": IdealsZSemiring,
+}
+
+BASE_INSTANCE_IDS = tuple(_BASE_FACTORIES)
 
 # every descriptor exercised somewhere in the law suite
 ALL_REGISTERED_IDS = BASE_INSTANCE_IDS + (
@@ -692,20 +628,10 @@ def _build(sid: str) -> Semiring:
         if name == "fractions" and len(args) == 1:
             return FractionSemiring(get_instance(args[0]))
         raise ValueError(f"unknown instance descriptor {sid!r}")
-    simple = {
-        "nat": NatSemiring,
-        "qnn": QnnSemiring,
-        "bool-poly": BoolPolySemiring,
-        "fuzzy": FuzzySemiring,
-        "ideals-z": IdealsZSemiring,
-    }
-    if sid in simple:
-        return simple[sid]()
-    if sid == "tropical-nat":
-        return TropicalSemiring("nat")
-    if sid == "tropical-int":
-        return TropicalSemiring("int")
-    raise ValueError(f"unknown instance descriptor {sid!r}")
+    factory = _BASE_FACTORIES.get(sid)
+    if factory is None:
+        raise ValueError(f"unknown instance descriptor {sid!r}")
+    return factory()
 
 
 def get_instance(sid: str) -> Semiring:

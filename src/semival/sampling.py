@@ -53,36 +53,31 @@ def stream(instance: Semiring, spec: SampleSpec, salt: str = "",
     return out
 
 
-def pair_stream(instance: Semiring, spec: SampleSpec,
-                keep: Callable[[Element], bool] | None = None,
-                salt: str = "") -> Iterator[tuple[Element, Element]]:
-    """spec.count pairs: the preamble square first, then fresh random pairs."""
+def _tuple_stream(instance: Semiring, spec: SampleSpec, salts: tuple[str, ...],
+                  keep: Callable[[Element], bool] | None, salt: str) -> Iterator[tuple]:
+    """spec.count tuples: the preamble power first, then one fresh stream per
+    position, zipped."""
     pre = [x for x in instance.preamble if keep is None or keep(x)]
-    block = list(product(pre, pre))[: spec.count]
+    block = list(product(pre, repeat=len(salts)))[: spec.count]
     yield from block
     remaining = spec.count - len(block)
     if remaining <= 0:
         return
     side = SampleSpec(spec.seed, remaining, spec.size_bound)
-    xs = stream(instance, side, salt=salt + "pair-a", keep=keep)
-    ys = stream(instance, side, salt=salt + "pair-b", keep=keep)
-    yield from zip(xs, ys)
+    yield from zip(*(stream(instance, side, salt=salt + s, keep=keep) for s in salts))
+
+
+def pair_stream(instance: Semiring, spec: SampleSpec,
+                keep: Callable[[Element], bool] | None = None,
+                salt: str = "") -> Iterator[tuple[Element, Element]]:
+    """spec.count pairs: the preamble square first, then fresh random pairs."""
+    return _tuple_stream(instance, spec, ("pair-a", "pair-b"), keep, salt)
 
 
 def triple_stream(instance: Semiring, spec: SampleSpec,
                   keep: Callable[[Element], bool] | None = None,
                   salt: str = "") -> Iterator[tuple[Element, Element, Element]]:
-    pre = [x for x in instance.preamble if keep is None or keep(x)]
-    block = list(product(pre, pre, pre))[: spec.count]
-    yield from block
-    remaining = spec.count - len(block)
-    if remaining <= 0:
-        return
-    side = SampleSpec(spec.seed, remaining, spec.size_bound)
-    xs = stream(instance, side, salt=salt + "tri-a", keep=keep)
-    ys = stream(instance, side, salt=salt + "tri-b", keep=keep)
-    zs = stream(instance, side, salt=salt + "tri-c", keep=keep)
-    yield from zip(xs, ys, zs)
+    return _tuple_stream(instance, spec, ("tri-a", "tri-b", "tri-c"), keep, salt)
 
 
 def nonzero_stream(instance: Semiring, spec: SampleSpec,

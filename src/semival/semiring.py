@@ -99,7 +99,6 @@ class Semiring(ABC):
     # True when the additive monoid is cancellative (a+b = a+c implies b = c);
     # lifts multiplicative cancellation to polynomial extensions.
     additively_cancellative: bool = False
-    has_infinity: bool = False
     # set to a two-argument gcd on payloads where one exists (nat, ideals-z)
     payload_gcd = None
 
@@ -124,9 +123,6 @@ class Semiring(ABC):
     def _is_unit(self, p) -> bool: ...
 
     @abstractmethod
-    def _text(self, p) -> str: ...
-
-    @abstractmethod
     def _random(self, rng, bound): ...
 
     @abstractmethod
@@ -135,11 +131,19 @@ class Semiring(ABC):
     def _eq(self, p, q) -> bool:
         return p == q
 
+    def _text(self, p) -> str:
+        return str(p)
+
+    # carriers with units other than one override this
     def _inv(self, p):
-        raise UnsupportedOperationError(f"{self.sid}: element is not invertible")
+        one = self._one()
+        if self._eq(p, one):
+            return p
+        raise UnsupportedOperationError(
+            f"{self.sid}: only {self._text(one)} is invertible")
 
     def _from_literal(self, q):
-        raise UnsupportedOperationError(f"{self.sid}: no literal {q!r}")
+        return self._canon(q)
 
     def _random_nonzero(self, rng, bound):
         zero = self._zero()

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from .content import (
     content,
+    content_pairs,
     cp_mul,
     dedekind_mertens_check,
     gaussian_check,
     gaussian_defect,
-    sample_content_polys,
 )
 from .dvs import (
     DVSStructure,
@@ -370,14 +370,7 @@ def criterion_10() -> CriterionResult:
     """
     problems = []
     for sid in ("nat", "ideals-z"):
-        instance = get_instance(sid)
-        polys = sample_content_polys(instance, SampleSpec(SEED, 2000, SIZE))
-        half = len(polys) // 2
-        checked = 0
-        for f, g in zip(polys[:half], polys[half:]):
-            if checked >= 1000:
-                break
-            checked += 1
+        for f, g in content_pairs(get_instance(sid), MID):
             report = dedekind_mertens_check(f, g)
             if not report.holds:
                 note = ""

@@ -150,22 +150,52 @@ def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
 
 # -- rule registry --------------------------------------------------------------
 
+# Miller-Rabin with these bases is exact for every p below the limit
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a p at or above _PRIME_LIMIT that has no
+    small factor cannot be decided exactly and raises ValueError."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"{p} cannot be certified prime: exact primality "
+                         f"is decided below {_PRIME_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _padic_exponent(n: int, p: int) -> int:
-    e = 0
+    """Exponent of p in n > 0.  Divides out p, p^2, p^4, ... while each
+    divides and starts again from p when one does not, so the number of
+    divisions grows with the squared logarithm of the exponent."""
+    e, pk, step = 0, p, 1
     while n % p == 0:
-        n //= p
-        e += 1
+        q, r = divmod(n, pk)
+        if r:
+            pk, step = p, 1
+            continue
+        n, e = q, e + step
+        pk, step = pk * pk, step * 2
     return e
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,3 +203,82 @@ def test_witnesses_reverify_from_json(capsys):
     vx, vy = valuate(v, x), valuate(v, y)
     assert vx != vy
     assert valuate(v, frs.add(x, y)) != min(vx, vy)
+
+
+def test_check_dedekind_mertens_verdicts(capsys):
+    code, _, _ = run(capsys, "check", "--semiring", "ideals-z", "--property",
+                     "dedekind-mertens")
+    assert code == 0
+    code, out, _ = run(capsys, "check", "--semiring", "nat", "--property",
+                       "dedekind-mertens", "--output", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "counterexample"
+    # the witness (f, g, escaped element) re-verifies: the element lies in
+    # exactly one of c(f)^(m+1) c(g) and c(f)^m c(fg)
+    from semival.content import content, cp_mul
+    from semival.grammar import parse_content_polynomial, parse_element
+    from semival.ideals import ideal_power, ideal_product
+    from semival.instances import get_instance
+    nat = get_instance("nat")
+    f_text, g_text, w_text = payload["witness"]
+    f = parse_content_polynomial(f_text, nat)
+    g = parse_content_polynomial(g_text, nat)
+    w = parse_element(w_text, nat)
+    m = g.degree()
+    lhs = ideal_product(ideal_power(content(f), m + 1), content(g))
+    rhs = ideal_product(ideal_power(content(f), m), content(cp_mul(f, g)))
+    assert lhs.contains(w) != rhs.contains(w)
+
+
+def test_ideal_product_generators(capsys):
+    code, out, _ = run(capsys, "ideal", "--semiring", "nat", "--op", "product",
+                       "ideal[2,3]", "ideal[5,7]", "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "holds"
+    assert payload["result"] == "ideal[10, 14, 15, 21]"
+    code, out, _ = run(capsys, "ideal", "--semiring", "ideals-z", "--op",
+                       "product", "ideal[4]", "ideal[6]")
+    assert code == 0 and "ideal[24]" in out
+
+
+@pytest.mark.parametrize("prop, message", [
+    ("min-property", "min-property needs --valuation"),
+    ("subtractive", "subtractive needs --valuation (checks the positive ideal)"),
+    ("prime", "prime needs --valuation (checks the positive ideal)"),
+    ("units-zeroset", "units-zeroset needs --valuation"),
+    ("extension-axioms", "extension-axioms needs --valuation"),
+])
+def test_valuation_properties_need_a_valuation(capsys, prop, message):
+    code, out, err = run(capsys, "check", "--semiring", "qnn", "--property", prop)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("first, second", [("fuzzy[0,1/2]", "ideal[1/3]"),
+                                           ("ideal[1/3]", "fuzzy[0,1/2)"),
+                                           ("ideal[1]", "fuzzy[0,1)")])
+def test_fuzzy_interval_compares_with_generated_ideal(capsys, first, second):
+    # every fuzzy ideal is an interval, so any two are comparable
+    code, out, _ = run(capsys, "ideal", "--semiring", "fuzzy", "--op",
+                       "comparable", first, second, "--output", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "holds" and payload["result"] == "true"
+
+
+def test_valuate_with_a_large_prime_parameter(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "valuate", "--semiring", "nat", "--valuation",
+                       "vp:1000000000000000003", "1000000000000000003^2*7")
+    assert code == 0 and out.strip() == "2"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rule", ["vp:561", "vp:1000000000000000001",
+                                  "vp:618970019642690137449562111"])
+def test_valuate_rejects_parameters_not_certified_prime(capsys, rule):
+    code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
+                         rule, "5")
+    assert code == 2 and out == "" and err.startswith("error: ")

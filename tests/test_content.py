@@ -1,11 +1,11 @@
 from semival.content import (
     content,
+    content_pairs,
     cp_mul,
     dedekind_mertens_check,
     gaussian_check,
     gaussian_defect,
     make_content_poly,
-    sample_content_polys,
 )
 from semival.dvs import standard_dvs_structures
 from semival.ideals import ideal_member, ideal_product, ideal_subset
@@ -60,23 +60,17 @@ def test_dedekind_mertens_fails_without_subtractivity():
 
 def test_dedekind_mertens_holds_on_subtractive_carriers():
     idz = get_instance("ideals-z")
-    polys = sample_content_polys(idz, SampleSpec(1, 400, 40))
-    half = len(polys) // 2
-    for f, g in zip(polys[:half], polys[half:]):
+    for f, g in content_pairs(idz, SampleSpec(1, 200, 40)):
         assert dedekind_mertens_check(f, g).holds
     qnn5 = standard_dvs_structures()[0]
-    polys = sample_content_polys(qnn5, SampleSpec(1, 200, 20))
-    half = len(polys) // 2
-    for f, g in zip(polys[:half], polys[half:]):
+    for f, g in content_pairs(qnn5, SampleSpec(1, 100, 20)):
         assert dedekind_mertens_check(f, g, qnn5).holds
 
 
 def test_content_is_monotone_under_products():
     # every coefficient of fg lies in c(f) c(g) -- the unconditional half
     nat = get_instance("nat")
-    polys = sample_content_polys(nat, SampleSpec(2, 120, 20))
-    half = len(polys) // 2
-    for f, g in zip(polys[:half], polys[half:]):
+    for f, g in content_pairs(nat, SampleSpec(2, 60, 20)):
         prod = ideal_product(content(f), content(g))
         for c in cp_mul(f, g).coeffs:
             assert ideal_member(prod, c)

@@ -109,6 +109,19 @@ def test_semifield_inverses_multiply_to_one():
             assert inst.mul(a, inst.inv(a)) == inst.one, (sid, str(a))
 
 
+@pytest.mark.parametrize("sid, non_unit", [("nat", 2), ("ideals-z", 6),
+                                           ("fuzzy", Fraction(1, 2)),
+                                           ("bool-poly", {0, 1})])
+def test_only_one_is_invertible_off_semifields(sid, non_unit):
+    inst = get_instance(sid)
+    assert inst.inv(inst.one) == inst.one
+    with pytest.raises(UnsupportedOperationError,
+                       match=rf"^{sid}: only 1 is invertible$"):
+        inst.inv(inst.element(non_unit))
+    with pytest.raises(UnsupportedOperationError):
+        inst.inv(inst.zero)
+
+
 def test_fraction_cross_multiplication_equality():
     frn = get_instance("fractions(nat)")
     nat = frn.base

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,8 @@ from semival.reports import SampleSpec
 from semival.sampling import pair_stream, stream
 from semival.valuation import (
     REGISTERED_VALUATIONS,
+    _is_prime,
+    _padic_exponent,
     check_min_property,
     check_valuation_axioms,
     get_valuation,
@@ -270,3 +274,55 @@ def test_level_chain_inclusions():
             mid = v.element_with_value(alpha + 1)
             assert level_membership(v, mid, a, strict=True, within_sv=True)
             assert not level_membership(v, mid, b, strict=False)
+
+
+def _trial_division_prime(p: int) -> bool:
+    # reference: trial division by every candidate up to the square root
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_is_prime(p) == _trial_division_prime(p) for p in range(-3, 10**5))
+
+
+def test_primality_of_large_parameters():
+    t0 = time.perf_counter()
+    assert _is_prime(1_000_000_000_000_000_003)
+    assert not _is_prime(561)  # Carmichael: Fermat liars for every base
+    assert not _is_prime(1_000_000_000_000_000_001)
+    assert not _is_prime(2**89)  # a small factor decides any size
+    with pytest.raises(ValueError, match="cannot be certified prime"):
+        _is_prime(2**89 - 1)  # prime, but above the deterministic limit
+    assert time.perf_counter() - t0 < 1
+
+
+def _naive_padic_exponent(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def test_padic_exponent_agrees_with_repeated_division():
+    rng = random.Random(7)
+    primes = (2, 3, 5, 7, 11, 13, 97, 1_000_003)
+    for _ in range(2000):
+        p = rng.choice(primes)
+        n = p ** rng.randint(0, 70) * rng.randint(1, 10**12)
+        assert _padic_exponent(n, p) == _naive_padic_exponent(n, p), (n, p)
+
+
+def test_padic_exponent_of_a_high_power_is_fast():
+    n = 5**100000
+    t0 = time.perf_counter()
+    assert valuate(get_valuation("vp:5", get_instance("nat")),
+                   get_instance("nat").element(n)) == fin("N0", 100000)
+    assert time.perf_counter() - t0 < 2
