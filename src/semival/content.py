@@ -20,7 +20,7 @@ from .ideals import (
     ideal_subset,
     make_ideal,
 )
-from .instances import FractionSemiring
+from .instances import FractionSemiring, _randint
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
 from .semiring import Element, Semiring
@@ -166,7 +166,7 @@ def sample_content_polys(carrier, spec: SampleSpec, salt: str = "",
     idx = 0
     rng = random.Random(f"{spec.seed}:{instance.sid}:{salt}degrees")
     while len(polys) < spec.count and idx + max_degree < len(coeffs):
-        deg = rng.randint(0, max_degree)
+        deg = _randint(rng, 0, max_degree)
         polys.append(make_content_poly(instance, coeffs[idx: idx + deg + 1]))
         idx += deg + 1
     return polys[: spec.count]

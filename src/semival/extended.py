@@ -68,6 +68,17 @@ class ExtendedValue:
     def inf(cls, domain: str) -> "ExtendedValue":
         return cls(domain, None)
 
+    @classmethod
+    def _unchecked(cls, domain: str, value) -> "ExtendedValue":
+        """A value that lies in the domain by construction (a valuation
+        rule's result, a sum of two values); validation is skipped.  Outside
+        input goes through ``fin``, ``inf`` or the constructor."""
+        obj = object.__new__(cls)
+        fields = obj.__dict__
+        fields["domain"] = domain
+        fields["value"] = value
+        return obj
+
     @property
     def is_inf(self) -> bool:
         return self.value is None
@@ -97,8 +108,8 @@ def ext_add(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
     """Tomonoid addition; the top element absorbs."""
     _same_domain(a, b)
     if a.value is None or b.value is None:
-        return ExtendedValue.inf(a.domain)
-    return ExtendedValue.fin(a.domain, a.value + b.value)
+        return ExtendedValue._unchecked(a.domain, None)
+    return ExtendedValue._unchecked(a.domain, a.value + b.value)
 
 
 def ext_compare(a: ExtendedValue, b: ExtendedValue) -> int:

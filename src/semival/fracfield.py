@@ -112,14 +112,15 @@ def extend_valuation(v: Valuation) -> Valuation:
     def fn(x: Element) -> ExtendedValue:
         num_p, den_p = x.payload
         if base._eq(num_p, base._zero()):
-            return ExtendedValue.inf(dom)
+            return ExtendedValue._unchecked(dom, None)
         vn = v.fn(Element(base, num_p))
         vd = v.fn(Element(base, den_p))
         # the base is entire, so a nonzero numerator could still have value
         # inf only if the rule sends nonzero elements there; guard anyway
         if vn.is_inf:
-            return ExtendedValue.inf(dom)
-        return ExtendedValue.fin(dom, vn.value - vd.value)
+            return ExtendedValue._unchecked(dom, None)
+        # a difference of two domain values lies in the group completion
+        return ExtendedValue._unchecked(dom, vn.value - vd.value)
 
     def unit_in_sv(x: Element) -> bool:
         num_p, den_p = x.payload

@@ -289,6 +289,12 @@ def ideal_member(I: FinGenIdeal, x: Element) -> bool:
 
 
 def _require_same(I: FinGenIdeal, J: FinGenIdeal) -> None:
+    for K in (I, J):
+        if not isinstance(K, FinGenIdeal):
+            hint = ("; compare fuzzy intervals with interval_comparable"
+                    if isinstance(K, IntervalIdeal) else "")
+            raise UnsupportedOperationError(
+                f"{type(K).__name__} is not a finitely generated ideal{hint}")
     if I.instance is not J.instance or I.dvs is not J.dvs:
         raise ValueError("ideals live over different instances")
 

@@ -27,6 +27,22 @@ from fractions import Fraction
 from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
 
 
+def _randint(rng, a: int, b: int) -> int:
+    """rng.randint(a, b) without its argument checks and call layers.
+
+    Draws getrandbits of the bit length of n = b - a + 1 and retries while
+    the draw is >= n, which is exactly what random.Random.randint consumes,
+    so every stream stays the same draw for draw.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
+
+
 class NatSemiring(Semiring):
     """Nonnegative integers; multiplicatively cancellative but no inverses."""
 
@@ -58,7 +74,7 @@ class NatSemiring(Semiring):
         return p == 1
 
     def _random(self, rng, bound):
-        return rng.randint(0, max(1, bound))
+        return _randint(rng, 0, max(1, bound))
 
     def _preamble(self):
         return (0, 1, 2, 3, 5)
@@ -100,7 +116,7 @@ class QnnSemiring(Semiring):
 
     def _random(self, rng, bound):
         b = max(1, bound)
-        return Fraction(rng.randint(0, b), rng.randint(1, b))
+        return Fraction(_randint(rng, 0, b), _randint(rng, 1, b))
 
     def _preamble(self):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
@@ -156,7 +172,7 @@ class BoolPolySemiring(Semiring):
 
     def _random(self, rng, bound):
         top = min(max(1, bound), 8)
-        return frozenset(rng.randint(0, top) for _ in range(rng.randint(0, 4)))
+        return frozenset([_randint(rng, 0, top) for _ in range(_randint(rng, 0, 4))])
 
     def _preamble(self):
         return (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))
@@ -191,8 +207,8 @@ class FuzzySemiring(Semiring):
         return p == 1
 
     def _random(self, rng, bound):
-        den = rng.randint(1, min(max(2, bound), 12))
-        return Fraction(rng.randint(0, den), den)
+        den = _randint(rng, 1, min(max(2, bound), 12))
+        return Fraction(_randint(rng, 0, den), den)
 
     def _preamble(self):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4))
@@ -265,7 +281,7 @@ class TropicalSemiring(Semiring):
         if rng.random() < 0.12:
             return None
         b = max(1, bound)
-        return rng.randint(0, b) if self.values == "nat" else rng.randint(-b, b)
+        return _randint(rng, 0, b) if self.values == "nat" else _randint(rng, -b, b)
 
     def _preamble(self):
         if self.values == "nat":
@@ -337,35 +353,38 @@ class MonoidSemiring(Semiring):
     def _one(self):
         return ((0 if self.exponents != "Q" else Fraction(0), self.base._one()),)
 
-    def _sorted(self, acc: dict):
-        return tuple(sorted(acc.items(), key=lambda t: t[0]))
+    # Payloads sort as plain tuples: exponents are unique keys, so the
+    # coefficients are never compared.
 
     def _add(self, p, q):
         acc = dict(p)
+        badd, beq, bzero = self.base._add, self.base._eq, self._bzero
         for e, c in q:
             if e in acc:
-                s = self.base._add(acc[e], c)
-                if self.base._eq(s, self._bzero):
+                s = badd(acc[e], c)
+                if beq(s, bzero):
                     del acc[e]
                 else:
                     acc[e] = s
             else:
                 acc[e] = c
-        return self._sorted(acc)
+        return tuple(sorted(acc.items()))
 
     def _mul(self, p, q):
         acc = {}
+        badd, bmul, beq, bzero = (self.base._add, self.base._mul, self.base._eq,
+                                  self._bzero)
         for e1, c1 in p:
             for e2, c2 in q:
                 e = e1 + e2
-                c = self.base._mul(c1, c2)
+                c = bmul(c1, c2)
                 if e in acc:
-                    c = self.base._add(acc[e], c)
-                if self.base._eq(c, self._bzero):
+                    c = badd(acc[e], c)
+                if beq(c, bzero):
                     acc.pop(e, None)
                 else:
                     acc[e] = c
-        return self._sorted(acc)
+        return tuple(sorted(acc.items()))
 
     def _canon(self, p):
         if isinstance(p, dict):
@@ -380,7 +399,7 @@ class MonoidSemiring(Semiring):
                 acc.pop(e, None)
             else:
                 acc[e] = c
-        return self._sorted(acc)
+        return tuple(sorted(acc.items()))
 
     def _is_unit(self, p):
         if len(p) != 1:
@@ -444,18 +463,22 @@ class MonoidSemiring(Semiring):
 
     def _random_exponent(self, rng, cap):
         if self.exponents == "N0":
-            return rng.randint(0, cap)
+            return _randint(rng, 0, cap)
         if self.exponents == "Z":
-            return rng.randint(-cap, cap)
-        return Fraction(rng.randint(-cap, cap), rng.choice((1, 2, 3)))
+            return _randint(rng, -cap, cap)
+        return Fraction(_randint(rng, -cap, cap), (1, 2, 3)[_randint(rng, 0, 2)])
 
     def _random(self, rng, bound):
+        terms = _randint(rng, 0, 3)
+        if not terms:
+            return ()
         cap = min(max(1, bound), 4)
+        exponent, coefficient = self._random_exponent, self.base._random_nonzero
         acc = {}
-        for _ in range(rng.randint(0, 3)):
-            e = self._random_exponent(rng, cap)
-            acc[e] = self.base._random_nonzero(rng, bound)
-        return self._sorted(acc)
+        for _ in range(terms):
+            e = exponent(rng, cap)
+            acc[e] = coefficient(rng, bound)
+        return tuple(sorted(acc.items()))
 
     def _preamble(self):
         one = self._one()
@@ -494,16 +517,19 @@ class FractionSemiring(Semiring):
 
     def _canon(self, p):
         num, den = p
-        num = self.base._canon(num)
-        den = self.base._canon(den)
-        if self.base._eq(den, self._bzero):
+        return self._reduce(self.base._canon(num), self.base._canon(den))
+
+    def _reduce(self, num, den):
+        """Canonical num/den from parts already canonical in the base."""
+        base = self.base
+        if base._eq(den, self._bzero):
             raise ZeroDivisionError(f"{self.sid}: zero denominator")
-        if self.base._eq(num, self._bzero):
+        if base._eq(num, self._bzero):
             return (self._bzero, self._bone)
-        if self.base.caps.semifield:
-            return (self.base._mul(num, self.base._inv(den)), self._bone)
-        if self.base.payload_gcd is not None:
-            g = self.base.payload_gcd(num, den)
+        if base.caps.semifield:
+            return (base._mul(num, base._inv(den)), self._bone)
+        if base.payload_gcd is not None:
+            g = base.payload_gcd(num, den)
             if g not in (0, 1):
                 num //= g
                 den //= g
@@ -517,11 +543,12 @@ class FractionSemiring(Semiring):
     def _add(self, p, q):
         n1, d1 = p
         n2, d2 = q
-        num = self.base._add(self.base._mul(n1, d2), self.base._mul(n2, d1))
-        return self._canon((num, self.base._mul(d1, d2)))
+        bmul = self.base._mul
+        return self._reduce(self.base._add(bmul(n1, d2), bmul(n2, d1)), bmul(d1, d2))
 
     def _mul(self, p, q):
-        return self._canon((self.base._mul(p[0], q[0]), self.base._mul(p[1], q[1])))
+        bmul = self.base._mul
+        return self._reduce(bmul(p[0], q[0]), bmul(p[1], q[1]))
 
     def _is_unit(self, p):
         return not self.base._eq(p[0], self._bzero)
@@ -529,7 +556,7 @@ class FractionSemiring(Semiring):
     def _inv(self, p):
         if self.base._eq(p[0], self._bzero):
             raise UnsupportedOperationError(f"{self.sid}: zero is not invertible")
-        return self._canon((p[1], p[0]))
+        return self._reduce(p[1], p[0])
 
     def _from_literal(self, q):
         if isinstance(q, int):
@@ -559,18 +586,18 @@ class FractionSemiring(Semiring):
         return f"({self.base._text(p[0])})/({self.base._text(p[1])})"
 
     def _random(self, rng, bound):
-        return self._canon((self.base._random(rng, bound),
-                            self.base._random_nonzero(rng, bound)))
+        return self._reduce(self.base._random(rng, bound),
+                            self.base._random_nonzero(rng, bound))
 
     def _preamble(self):
         pre = [self._zero(), self._one()]
         base_pre = [p for p in self.base._preamble()
                     if not self.base._eq(p, self._bzero)]
         for p in base_pre[:4]:
-            pre.append(self._canon((p, self._bone)))
+            pre.append(self._reduce(p, self._bone))
         for p in base_pre[:4]:
             if not self.base._eq(p, self._bone):
-                pre.append(self._canon((self._bone, p)))
+                pre.append(self._reduce(self._bone, p))
         return tuple(pre)
 
 

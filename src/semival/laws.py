@@ -14,23 +14,28 @@ def check_semiring_axioms(instance: Semiring, spec: SampleSpec) -> LawReport:
     zero, one = instance.zero, instance.one
     if instance.eq(zero, one):
         return law_counterexample(law, (zero, one), spec, "1 = 0")
-    eq, add, mul = instance.eq, instance.add, instance.mul
+    # the loop runs on payloads; witnesses stay the stream's own elements
+    eq, add, mul = instance._eq, instance._add, instance._mul
+    z, u = zero.payload, one.payload
     for a, b, c in triple_stream(instance, spec, salt="axioms"):
-        if not eq(add(a, b), add(b, a)):
+        p, q, r = a.payload, b.payload, c.payload
+        total = add(p, q)
+        if not eq(total, add(q, p)):
             return law_counterexample(law, (a, b), spec, "a+b != b+a")
-        if not eq(add(add(a, b), c), add(a, add(b, c))):
+        if not eq(add(total, r), add(p, add(q, r))):
             return law_counterexample(law, (a, b, c), spec, "(a+b)+c != a+(b+c)")
-        if not eq(add(a, zero), a):
+        if not eq(add(p, z), p):
             return law_counterexample(law, (a,), spec, "a+0 != a")
-        if not eq(mul(a, b), mul(b, a)):
+        prod = mul(p, q)
+        if not eq(prod, mul(q, p)):
             return law_counterexample(law, (a, b), spec, "a*b != b*a")
-        if not eq(mul(mul(a, b), c), mul(a, mul(b, c))):
+        if not eq(mul(prod, r), mul(p, mul(q, r))):
             return law_counterexample(law, (a, b, c), spec, "(a*b)*c != a*(b*c)")
-        if not eq(mul(a, one), a):
+        if not eq(mul(p, u), p):
             return law_counterexample(law, (a,), spec, "a*1 != a")
-        if not eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))):
+        if not eq(mul(p, add(q, r)), add(prod, mul(p, r))):
             return law_counterexample(law, (a, b, c), spec, "a*(b+c) != a*b+a*c")
-        if not eq(mul(a, zero), zero):
+        if not eq(mul(p, z), z):
             return law_counterexample(law, (a,), spec, "a*0 != 0")
     return law_holds(law, spec)
 
@@ -47,12 +52,13 @@ def probe_mc_entire(instance: Semiring,
     if instance.caps.semifield:
         return (law_holds(mc_law, spec, "semifield", analytic=True),
                 law_holds(entire_law, spec, "semifield", analytic=True))
-    eq, mul, zero = instance.eq, instance.mul, instance.zero
+    eq, mul, z = instance._eq, instance._mul, instance.zero.payload
     mc = None
     for a, b, c in triple_stream(instance, spec, salt="mc"):
-        if eq(a, zero) or eq(b, c):
+        p, q, r = a.payload, b.payload, c.payload
+        if eq(p, z) or eq(q, r):
             continue
-        if eq(mul(a, b), mul(a, c)):
+        if eq(mul(p, q), mul(p, r)):
             mc = law_counterexample(mc_law, (a, b, c), spec,
                                     "a*b = a*c with a != 0, b != c")
             break
@@ -60,9 +66,10 @@ def probe_mc_entire(instance: Semiring,
         mc = law_holds(mc_law, spec)
     entire = None
     for a, b in pair_stream(instance, spec, salt="entire"):
-        if eq(a, zero) or eq(b, zero):
+        p, q = a.payload, b.payload
+        if eq(p, z) or eq(q, z):
             continue
-        if eq(mul(a, b), zero):
+        if eq(mul(p, q), z):
             entire = law_counterexample(entire_law, (a, b), spec,
                                         "a*b = 0 with a, b != 0")
             break

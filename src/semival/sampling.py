@@ -3,7 +3,8 @@
 Streams are keyed by (seed, instance id, salt, size bound); identical
 specs yield identical streams.  Each stream starts with the instance's
 fixed preamble so known witnesses are always visited first, then continues
-with pseudo-random elements.
+with pseudo-random elements.  Unfiltered streams are cached per instance
+object, so an instance built outside the registry samples its own elements.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
-from .instances import get_instance
 from .reports import SampleSpec
 from .semiring import Element, Semiring
 
@@ -24,14 +24,14 @@ def _rng(spec: SampleSpec, sid: str, salt: str) -> random.Random:
 
 
 @lru_cache(maxsize=256)
-def _cached_stream(sid: str, seed: int, count: int, size_bound: int,
+def _cached_stream(instance: Semiring, seed: int, count: int, size_bound: int,
                    salt: str) -> tuple:
-    instance = get_instance(sid)
     spec = SampleSpec(seed, count, size_bound)
-    rng = _rng(spec, sid, salt)
+    rng = _rng(spec, instance.sid, salt)
+    draw = instance._random
     out = list(instance.preamble[:count])
-    while len(out) < count:
-        out.append(instance.sample(rng, size_bound))
+    out.extend(Element(instance, draw(rng, size_bound))
+               for _ in range(count - len(out)))
     return tuple(out)
 
 
@@ -39,14 +39,15 @@ def stream(instance: Semiring, spec: SampleSpec, salt: str = "",
            keep: Callable[[Element], bool] | None = None) -> list[Element]:
     """spec.count elements; filtered generation retries up to a fixed cap."""
     if keep is None:
-        return list(_cached_stream(instance.sid, spec.seed, spec.count,
+        return list(_cached_stream(instance, spec.seed, spec.count,
                                    spec.size_bound, salt))
     out = [x for x in instance.preamble if keep(x)][:spec.count]
     rng = _rng(spec, instance.sid, salt)
+    draw, bound = instance._random, spec.size_bound
     attempts = 0
     limit = 40 * spec.count + 200
     while len(out) < spec.count and attempts < limit:
-        x = instance.sample(rng, spec.size_bound)
+        x = Element(instance, draw(rng, bound))
         attempts += 1
         if keep(x):
             out.append(x)

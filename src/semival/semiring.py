@@ -146,10 +146,10 @@ class Semiring(ABC):
         return self._canon(q)
 
     def _random_nonzero(self, rng, bound):
-        zero = self._zero()
+        zero, draw, eq = self._zero(), self._random, self._eq
         for _ in range(64):
-            p = self._random(rng, bound)
-            if not self._eq(p, zero):
+            p = draw(rng, bound)
+            if not eq(p, zero):
                 return p
         return self._one()
 

@@ -304,6 +304,25 @@ def test_interval_ideals_totally_ordered():
             assert interval_comparable(A, B)
 
 
+def _non_generated_pairs():
+    fuzzy, qnn = get_instance("fuzzy"), get_instance("qnn")
+    interval = fuzzy_ideal_classify([(Fraction(1, 2), True)])
+    level = positive_ideal(get_valuation("vp:5", qnn))
+    return [("IntervalIdeal", interval, make_ideal(fuzzy, [fuzzy.element(Fraction(1, 3))])),
+            ("LevelIdeal", level, make_ideal(qnn, [qnn.element(5)]))]
+
+
+@pytest.mark.parametrize("op", [ideal_sum, ideal_subset, ideals_comparable])
+def test_ideal_operations_reject_ideals_without_generators(op):
+    for name, other, generated in _non_generated_pairs():
+        for I, J in ((other, generated), (generated, other)):
+            with pytest.raises(UnsupportedOperationError) as err:
+                op(I, J)
+            message = str(err.value)
+            assert message.startswith(f"{name} is not a finitely generated ideal")
+            assert ("interval_comparable" in message) == (name == "IntervalIdeal")
+
+
 # -- semifield oracle ------------------------------------------------------------
 
 def test_semifield_ideals_are_trivial():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semival.instances import ALL_REGISTERED_IDS, get_instance
+from semival.instances import ALL_REGISTERED_IDS, _randint, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
 from semival.semiring import InstanceMismatchError, UnsupportedOperationError
@@ -255,3 +255,28 @@ def test_concurrent_resolution_yields_one_instance(monkeypatch):
     assert get_instance(sid) is got[0]
     x = got[1].indeterminate()
     assert got[2].mul(x, got[3].one) == x
+
+
+def _widths():
+    yield from (1, 2, 3, 5)
+    for k in range(1, 71):
+        yield from (2 ** k - 1, 2 ** k, 2 ** k + 1)
+
+
+@pytest.mark.parametrize("a", [0, 7, -3, -(2 ** 40)])
+def test_randint_consumes_the_generator_like_the_stdlib(a):
+    for n in _widths():
+        r1, r2 = random.Random(f"randint:{a}:{n}"), random.Random(f"randint:{a}:{n}")
+        for _ in range(20):
+            assert _randint(r1, a, a + n - 1) == r2.randint(a, a + n - 1)
+        assert r1.getstate() == r2.getstate()
+
+
+def test_randint_matches_the_stdlib_over_many_seeded_draws():
+    r1, r2 = random.Random(20261018), random.Random(20261018)
+    widths = [1, 2, 3, 5, 6, 12, 51, 101, 2 ** 16 + 1]
+    for i in range(10 ** 4):
+        n = widths[i % len(widths)]
+        a = -n // 2 if i % 3 else 0
+        assert _randint(r1, a, a + n - 1) == r2.randint(a, a + n - 1)
+    assert r1.getstate() == r2.getstate()

@@ -1,7 +1,9 @@
 from itertools import product
 
-from semival.instances import get_instance
-from semival.laws import probe_mc_entire
+import pytest
+
+from semival.instances import NatSemiring, get_instance
+from semival.laws import check_semiring_axioms, probe_mc_entire
 from semival.reports import SampleSpec
 
 SPEC = SampleSpec(1, 500, 15)
@@ -53,3 +55,67 @@ def test_bool_poly_is_not_cancellative():
     assert bp.eq(bp.mul(a, b), bp.mul(a, c)) and not bp.eq(b, c)
     assert not mc.holds
     assert entire.holds
+
+
+# Broken variants of nat.  The law loops run on payloads, so these check that
+# they still refute, and that each witness re-verifies through the
+# element-level add/mul/eq of the same instance.
+
+class _NonAssociativeAdd(NatSemiring):
+    sid = "nat-nonassoc-add"
+
+    def _add(self, p, q):
+        # commutative with identity 0, but (2+2)+3 = 8 and 2+(2+3) = 7
+        return p + q + (p >= 3 and q >= 3)
+
+
+class _NonAssociativeMul(NatSemiring):
+    sid = "nat-nonassoc-mul"
+
+    def _mul(self, p, q):
+        # commutative, unital and absorbing, but (2*2)*3 = 13 and 2*(2*3) = 12
+        return p * q + (p >= 3 and q >= 3)
+
+
+class _AddWithoutZero(NatSemiring):
+    sid = "nat-shifted-add"
+
+    def _add(self, p, q):
+        # commutative and associative, but a+0 = a+1
+        return p + q + 1
+
+
+class _ZeroDivisors(NatSemiring):
+    sid = "nat-mod6"
+
+    def _mul(self, p, q):
+        return p * q % 6
+
+
+@pytest.mark.parametrize("broken, detail, refuted", [
+    (_NonAssociativeAdd, "(a+b)+c != a+(b+c)",
+     lambda s, a, b, c: not s.eq(s.add(s.add(a, b), c), s.add(a, s.add(b, c)))),
+    (_NonAssociativeMul, "(a*b)*c != a*(b*c)",
+     lambda s, a, b, c: not s.eq(s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c)))),
+    (_AddWithoutZero, "a+0 != a", lambda s, a: not s.eq(s.add(a, s.zero), a)),
+])
+def test_axioms_refute_broken_operations(broken, detail, refuted):
+    inst = broken()
+    report = check_semiring_axioms(inst, SampleSpec(1, 200, 20))
+    assert not report.holds
+    assert report.detail == detail
+    assert all(x.semiring is inst for x in report.witness)
+    assert refuted(inst, *report.witness)
+
+
+def test_probes_refute_a_multiplication_with_zero_divisors():
+    inst = _ZeroDivisors()
+    mc, entire = probe_mc_entire(inst, SampleSpec(1, 200, 20))
+    assert not mc.holds and not entire.holds
+    assert all(x.semiring is inst for x in mc.witness + entire.witness)
+    a, b, c = mc.witness
+    assert not inst.eq(a, inst.zero) and not inst.eq(b, c)
+    assert inst.eq(inst.mul(a, b), inst.mul(a, c))
+    a, b = entire.witness
+    assert not inst.eq(a, inst.zero) and not inst.eq(b, inst.zero)
+    assert inst.eq(inst.mul(a, b), inst.zero)

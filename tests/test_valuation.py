@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from semival.extended import ExtendedValue
+from semival.extended import ExtendedValue, _check_scalar
+from semival.fracfield import extend_valuation
 from semival.instances import get_instance
 from semival.reports import SampleSpec
 from semival.sampling import pair_stream, stream
@@ -121,6 +122,21 @@ def test_axioms_for_each_registered_rule(rule, sid):
     v = get_valuation(rule, get_instance(sid))
     report = check_valuation_axioms(v, SPEC)
     assert report.holds, str(report)
+
+
+@pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
+def test_rule_values_pass_domain_validation(rule, sid):
+    # rule results skip validation; the validation they skip is the oracle
+    v = get_valuation(rule, get_instance(sid))
+    for w in (v, extend_valuation(v)):
+        src = w.source
+        for x, y in pair_stream(src, SampleSpec(1, 1000, 50), salt="rule-values"):
+            for z in (x, src.add(x, y), src.mul(x, y)):
+                val = w.fn(z)
+                assert val.domain == w.domain
+                if val.value is not None:
+                    assert _check_scalar(val.domain, val.value) == val.value
+                assert ExtendedValue(val.domain, val.value) == val
 
 
 @pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
