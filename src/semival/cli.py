@@ -40,7 +40,6 @@ from .laws import check_semiring_axioms, probe_mc_entire
 from .reports import LawReport, SampleSpec
 from .sampling import stream
 from .semiring import InstanceMismatchError, UnsupportedOperationError
-from .suite import run_all
 from .valuation import (
     check_min_property,
     check_valuation_axioms,
@@ -291,7 +290,17 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         if args.command == "suite":
-            results = run_all()
+            # imported here, so that the other commands' cold start pays for
+            # neither the suite nor its process pool
+            from concurrent.futures.process import BrokenProcessPool
+
+            from .suite import run_all
+            try:
+                results = run_all()
+            except BrokenProcessPool as exc:
+                # a dead worker is no verdict: exit 1 means a counterexample
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             ok = all(r.passed for r in results)
             if args.output == "json":
                 print(json.dumps([{"criterion": r.number, "title": r.title,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .extended import EQ, ExtendedValue, ext_add, ext_compare, ext_min
@@ -42,8 +43,10 @@ class Valuation:
     def __call__(self, x: Element) -> ExtendedValue:
         return valuate(self, x)
 
-    @property
+    @cached_property
     def zero_value(self) -> ExtendedValue:
+        # built once per valuation: membership filters compare against it
+        # once per element
         return ExtendedValue.fin(self.domain, 0)
 
     def __str__(self) -> str:

@@ -207,6 +207,29 @@ def test_level_membership():
         level_membership(v, nat.element(2), ExtendedValue.inf("N0"))
 
 
+@pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
+def test_zero_value_is_built_once(rule, sid):
+    v = get_valuation(rule, get_instance(sid))
+    assert v.zero_value is v.zero_value
+    assert v.zero_value == fin(v.domain, 0)
+
+
+def test_nonnegative_filter_validates_no_value(monkeypatch):
+    # every element is compared with the valuation's 0; rule results skip
+    # validation and that 0 is built once, so the filter validates nothing
+    qnn = get_instance("qnn")
+    v = get_valuation("vp:5", qnn)
+    elements = stream(qnn, SampleSpec(1, 1000, 50), salt="zero-value")
+    assert v.zero_value == fin("Z", 0)
+    checked = []
+    validate = ExtendedValue.__post_init__
+    monkeypatch.setattr(ExtendedValue, "__post_init__",
+                        lambda self: (checked.append(self), validate(self))[1])
+    inside = sum(in_valuation_semiring(v, x) for x in elements)
+    assert 0 < inside < len(elements) == 1000
+    assert checked == []
+
+
 def test_units_vs_zeroset_agreement_and_gap():
     qnn = get_instance("qnn")
     assert units_vs_zeroset(get_valuation("vp:5", qnn), SPEC).holds
