@@ -312,6 +312,9 @@ def parse_ideal(text: str, instance: Semiring, dvs=None):
             raise ValueError("interval ideals only exist over fuzzy")
         closed = stripped.endswith("]")
         endpoint = parse_element(stripped[len("fuzzy[0,"):-1], instance)
+        if not closed and endpoint.is_zero():
+            # [0,0) is empty, and an ideal contains 0
+            raise ParseError("fuzzy[0,0) is empty, not an ideal", len("fuzzy[0,"))
         return IntervalIdeal(endpoint.payload, closed)
     raise ParseError("expected ideal[...] or fuzzy[0,...]", 0)
 

@@ -1,30 +1,30 @@
-"""Finitely generated ideals with per-instance membership oracles.
+"""Finitely generated ideals, reduced and decided by one rule per carrier.
 
-There is no generic decision procedure for semiring ideal membership;
-each oracle below is exact on its own instance.  The first five are the
-builders of ``_ORACLES``, which turn generator payloads into a predicate
-on payloads:
+There is no generic decision procedure for semiring ideal membership.  Each
+carrier with an exact one owns a rule ``(reduce, build)``.  ``reduce`` turns
+a generator list into the shortest list generating the same ideal (zero
+alone for the zero ideal); every FinGenIdeal applies it on construction, so
+sums, products and powers shrink at each step.  ``build`` turns the reduced
+list into the membership predicate, on the ideal's first ``contains``.
 
-  nat           x is a nonnegative integer combination of the generators
-                (numerical semigroup membership; see _NatSemigroup)
-  bool-poly     addition is idempotent and degrees only grow, so x is a sum
-                of shifted generators iff the union of all generator shifts
-                contained in x equals x
-  ideals-z      the ideal generated by (g1),...,(gk) is every multiple of
-                gcd(g1,...,gk)
-  fuzzy         every ideal is an interval [0,a] or [0,a); a generated one
-                is [0, largest generator], so membership is an order test
-  tropical-nat  y is in (g) iff y >= g, so membership is y >= min generator
-  semifields    only the zero ideal and the whole carrier exist
-  DVS carriers  membership is v(x) >= min generator value (every nonzero
-                ideal is a uniformizer power)
+  nat           drop multiples of smaller generators; x is a member iff it is
+                a nonnegative integer combination (see _NatSemigroup)
+  ideals-z      (g1),...,(gk) generate the multiples of their gcd: keep it
+  bool-poly     drop duplicates; addition is idempotent and degrees only grow,
+                so x is a sum of shifted generators iff the union of all
+                generator shifts contained in x equals x
+  threshold     y is in (g) iff key(y) >= key(g): keep the first generator of
+                least key.  Keys: the value (inf for the zero element) on
+                tropical-nat; -x on fuzzy, whose ideals are intervals;
+                is_zero on semifields, whose only ideals are zero and the
+                whole carrier; v(x) on DVS carriers, whose nonzero ideals are
+                uniformizer powers and which refuse generators of negative
+                value as lying outside the carrier
 
-An ideal builds its predicate on the first ``contains`` and keeps it, so
-the generators are reduced, or valued, once per ideal.  Instances with
-none of these oracles raise UnsupportedOperationError on that first query.
-
-Subset of finitely generated ideals is exact via generator membership;
-subtractivity and primality quantify over the carrier and stay sampled.
+Other instances drop duplicates and raise UnsupportedOperationError on the
+first membership query.  Subset of finitely generated ideals is exact via
+generator membership; subtractivity and primality quantify over the carrier
+and stay sampled.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .extended import ExtendedValue
 from .instances import get_instance
@@ -141,22 +141,34 @@ class _NatSemigroup:
         return result
 
 
-def _reduce_nat_generators(values: list[int]) -> tuple[int, ...]:
-    vals = sorted({v for v in values if v > 0})
-    kept = []
-    for v in vals:
+def _nat_reduce(gens: tuple[Element, ...]) -> tuple[Element, ...]:
+    nat, kept = gens[0].semiring, []
+    for v in sorted({g.payload for g in gens if g.payload > 0}):
         if not any(v % w == 0 for w in kept):
             kept.append(v)
-    return tuple(kept)
+    return tuple(Element(nat, v) for v in kept) or (nat.zero,)
 
 
 def _nat_oracle(gens: list[int]):
-    reduced = _reduce_nat_generators(gens)
-    if not reduced:
+    if gens[0] == 0:
         return lambda p: p == 0
-    if reduced[0] == 1:
-        return lambda p: True
-    return _nat_semigroup(reduced).member
+    return _nat_semigroup(tuple(gens)).member
+
+
+def _gcd_reduce(gens: tuple[Element, ...]) -> tuple[Element, ...]:
+    return (Element(gens[0].semiring, reduce(math.gcd, (g.payload for g in gens))),)
+
+
+def _ideals_z_oracle(gens: list[int]):
+    d = gens[0]
+    return (lambda p: p % d == 0) if d else (lambda p: p == 0)
+
+
+def _dedupe(gens: tuple[Element, ...]) -> tuple[Element, ...]:
+    unique: dict = {}
+    for g in gens:
+        unique.setdefault(g.payload, g)
+    return tuple(unique.values())
 
 
 def _bool_poly_oracle(gens: list[frozenset]):
@@ -173,39 +185,64 @@ def _bool_poly_oracle(gens: list[frozenset]):
     return member
 
 
-def _ideals_z_oracle(gens: list[int]):
-    d = reduce(math.gcd, gens)
-    return (lambda p: p % d == 0) if d else (lambda p: p == 0)
+def _no_oracle(gens: tuple[Element, ...]):
+    raise UnsupportedOperationError(
+        f"{gens[0].semiring.sid}: no ideal membership oracle")
 
 
-def _tropical_nat_oracle(gens: list):
-    finite = [g for g in gens if g is not None]
-    if not finite:
-        return lambda p: p is None
-    least = min(finite)
-    return lambda p: p is None or p >= least
+class _Rule(NamedTuple):
+    reduce: Callable  # generators -> the fewest generating the same ideal
+    build: Callable   # reduced generators -> membership predicate on elements
 
 
-def _fuzzy_oracle(gens: list[Fraction]):
-    top = max(gens)
-    return lambda p: p <= top
+def _payload_rule(reduce_gens, oracle) -> _Rule:
+    """oracle(generator payloads) returns a test on the payload of x."""
+    def build(gens):
+        test = oracle([g.payload for g in gens])
+        return lambda x: test(x.payload)
+    return _Rule(reduce_gens, build)
 
 
-# sid -> builder: generator payloads in, membership predicate on payloads out
-_ORACLES = {
-    "nat": _nat_oracle,
-    "bool-poly": _bool_poly_oracle,
-    "ideals-z": _ideals_z_oracle,
-    "tropical-nat": _tropical_nat_oracle,
-    "fuzzy": _fuzzy_oracle,
+def _threshold(key, floor=None) -> _Rule:
+    """x is in (g1..gk) iff key(x) >= min key(gi).  A generator keyed below
+    the floor lies outside the carrier; one key per generator serves both."""
+    def reduce_gens(gens):
+        keys = [key(g) for g in gens]
+        if floor is not None:
+            for g, k in zip(gens, keys):
+                if k < floor:
+                    raise ValueError(f"{g} lies outside the carrier")
+        return (gens[keys.index(min(keys))],)
+
+    def build(gens):
+        least = key(gens[0])
+        return lambda x: key(x) >= least
+    return _Rule(reduce_gens, build)
+
+
+# sid -> rule; _rule_for covers DVS carriers, semifields and the rest
+_RULES = {
+    "nat": _payload_rule(_nat_reduce, _nat_oracle),
+    "ideals-z": _payload_rule(_gcd_reduce, _ideals_z_oracle),
+    "bool-poly": _payload_rule(_dedupe, _bool_poly_oracle),
+    "tropical-nat": _threshold(lambda x: math.inf if x.payload is None else x.payload),
+    "fuzzy": _threshold(lambda x: -x.payload),
 }
+_SEMIFIELD = _threshold(Element.is_zero)
+_NO_ORACLE = _Rule(_dedupe, _no_oracle)
+
+
+def _rule_for(instance: Semiring, dvs) -> _Rule:
+    if dvs is not None:
+        v = dvs.valuation
+        return _threshold(partial(valuate, v), floor=v.zero_value)
+    return _RULES.get(instance.sid, _SEMIFIELD if instance.caps.semifield else _NO_ORACLE)
 
 
 @dataclass(frozen=True)
 class FinGenIdeal:
-    """A nonempty finite generator list over one instance.
-
-    When ``dvs`` is set the ideal lives in the carrier of that discrete
+    """A nonempty finite generator list over one instance, reduced by its
+    rule.  When ``dvs`` is set the ideal lives in the carrier of that discrete
     valuation structure and membership goes through the valuation.
     """
 
@@ -218,6 +255,8 @@ class FinGenIdeal:
             raise ValueError("an ideal needs at least one generator")
         for g in self.generators:
             self.instance._claim(g)
+        reduced = _rule_for(self.instance, self.dvs).reduce(self.generators)
+        object.__setattr__(self, "generators", reduced)
 
     def is_zero(self) -> bool:
         return all(g.is_zero() for g in self.generators)
@@ -229,21 +268,7 @@ class FinGenIdeal:
     @cached_property
     def _member(self) -> Callable[[Element], bool]:
         """The membership predicate, built on the first query."""
-        inst = self.instance
-        if self.dvs is None:
-            build = _ORACLES.get(inst.sid)
-            if build is not None:
-                test = build([g.payload for g in self.generators])
-                return lambda x: test(x.payload)
-            if not inst.caps.semifield:
-                raise UnsupportedOperationError(f"{inst.sid}: no ideal membership oracle")
-        if self.is_zero():
-            return Element.is_zero
-        if self.dvs is None:  # a semifield's nonzero ideals hold a unit
-            return lambda x: True
-        v = self.dvs.valuation
-        least = min(valuate(v, g) for g in self.generators)
-        return lambda x: valuate(v, x) >= least
+        return _rule_for(self.instance, self.dvs).build(self.generators)
 
     def domain_filter(self):
         if self.dvs is not None:
@@ -255,29 +280,8 @@ class FinGenIdeal:
 
 
 def make_ideal(instance: Semiring, generators, dvs=None) -> FinGenIdeal:
-    """Build an ideal with a lightly canonicalised generator list."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("an ideal needs at least one generator")
-    for g in gens:
-        instance._claim(g)
-    sid = instance.sid
-    if sid == "ideals-z":
-        d = reduce(math.gcd, (g.payload for g in gens))
-        gens = [instance.element(d)]
-    elif sid == "nat":
-        reduced = _reduce_nat_generators([g.payload for g in gens])
-        gens = [instance.element(v) for v in reduced] or [instance.zero]
-    else:
-        seen = set()
-        uniq = []
-        for g in gens:
-            key = g.payload
-            if key not in seen:
-                seen.add(key)
-                uniq.append(g)
-        gens = uniq
-    return FinGenIdeal(instance, tuple(gens), dvs)
+    """Build an ideal; the instance's rule reduces its generator list."""
+    return FinGenIdeal(instance, tuple(generators), dvs)
 
 
 def principal(instance: Semiring, x: Element, dvs=None) -> FinGenIdeal:

@@ -215,9 +215,8 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
     # (a) sampled finitely generated ideal pairs are comparable
     gens_pool = D.sample_carrier(SampleSpec(SEED, 120, 12), salt="ideals",
                                  nonzero=True)
-    ideals = []
-    for i in range(0, min(len(gens_pool), 90), 3):
-        ideals.append(carrier_ideal(D, gens_pool[i: i + 3]))
+    slices = [gens_pool[i: i + 3] for i in range(0, min(len(gens_pool), 90), 3)]
+    ideals = [carrier_ideal(D, gens) for gens in slices]
     count = 0
     for i in range(len(ideals)):
         for j in range(i + 1, len(ideals)):
@@ -227,18 +226,19 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
             if not ideals_comparable(ideals[i], ideals[j]).holds:
                 problems.append(f"incomparable ideal pair #{i},{j}")
                 break
-    # (b) every nonzero ideal is a uniformizer power, verified by inclusion
-    for I in ideals[:60]:
+    # (b) every nonzero ideal is a uniformizer power, verified by inclusion;
+    # the expected exponent comes from the raw generators, not the kept one
+    for gens, I in zip(slices[:60], ideals):
         if I.is_zero():
             continue
         n = dvs_ideal_of(D, I)
-        if n != min(valuate(v, g).value for g in I.generators):
+        if n != min(valuate(v, g).value for g in gens):
             problems.append(f"ideal exponent mismatch for {I}")
             break
     # (c) normal forms round-trip exactly
     for x in D.sample_carrier(FULL, salt="nf", nonzero=True):
         unit, n = dvs_normal_form(D, x)
-        if valuate(v, unit) != ExtendedValue.fin("Z", 0):
+        if valuate(v, unit) != v.zero_value:
             problems.append(f"normal-form unit of {x} has nonzero value")
             break
         if not amb.eq(amb.mul(unit, amb.power(D.uniformizer, n)), x):

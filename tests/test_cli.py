@@ -134,6 +134,31 @@ def test_ideal_subcommands(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("op, args", [("contains", ["ideal[1/5]", "1"]),
+                                      ("sum", ["ideal[5]", "ideal[1/5, 25]"])])
+def test_dvs_ideal_generators_must_lie_in_the_carrier(capsys, op, args):
+    code, out, err = run(capsys, "ideal", "--semiring", "qnn", "--valuation",
+                         "vp:5", "--op", op, *args)
+    assert code == 2 and out == ""
+    assert err == "error: 1/5 lies outside the carrier\n"
+
+
+def test_dvs_ideal_product_prints_reduced_generators(capsys):
+    code, out, _ = run(capsys, "ideal", "--semiring", "qnn", "--valuation", "vp:5",
+                       "--op", "product", "ideal[5, 10]", "ideal[25, 3]",
+                       "--output", "json")
+    assert code == 0 and json.loads(out)["result"] == "ideal[15]"
+
+
+@pytest.mark.parametrize("op, args", [("contains", ["fuzzy[0,0)", "0"]),
+                                      ("subtractive", ["fuzzy[0,0)"])])
+def test_empty_fuzzy_interval_is_refused(capsys, op, args):
+    # [0,0) does not contain 0, so it is no ideal
+    code, out, err = run(capsys, "ideal", "--semiring", "fuzzy", "--op", op, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: fuzzy[0,0) is empty, not an ideal")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "valuate", "--semiring", "nope", "--valuation",
                "vp:5", "1")[0] == 2

@@ -6,6 +6,7 @@ import pytest
 from semival.dvs import (
     ascending_chain_probe,
     carrier_ideal,
+    carrier_principal,
     dvs_ideal_of,
     dvs_normal_form,
     dvs_structure,
@@ -85,6 +86,33 @@ def test_dvs_ideal_of(qnn5):
         assert dvs_ideal_of(qnn5, power) == k
     with pytest.raises(ValueError):
         dvs_ideal_of(qnn5, carrier_ideal(qnn5, [qnn.zero]))
+
+
+def test_generators_outside_the_carrier_are_refused(qnn5):
+    from semival.ideals import FinGenIdeal, make_ideal
+    qnn = get_instance("qnn")
+    fifth = qnn.element(Fraction(1, 5))
+    for build in (lambda: carrier_ideal(qnn5, [qnn.element(5), fifth]),
+                  lambda: carrier_principal(qnn5, fifth),
+                  lambda: make_ideal(qnn, [fifth], dvs=qnn5),
+                  lambda: FinGenIdeal(qnn, (qnn.one, fifth), qnn5)):
+        with pytest.raises(ValueError, match="^1/5 lies outside the carrier$"):
+            build()
+
+
+def test_carrier_rule_values_each_generator_once(qnn5, monkeypatch):
+    from semival import ideals
+    calls = []
+
+    def counting(v, x):
+        calls.append(str(x))
+        return valuate(v, x)
+
+    monkeypatch.setattr(ideals, "valuate", counting)
+    qnn = get_instance("qnn")
+    I = carrier_ideal(qnn5, [qnn.element(50), qnn.element(15), qnn.element(3)])
+    assert calls == ["50", "15", "3"]  # one value each: carrier test and threshold
+    assert [str(g) for g in I.generators] == ["3"]
 
 
 def test_euclidean_division_examples(qnn5):

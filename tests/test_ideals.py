@@ -1,9 +1,9 @@
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 
 import pytest
@@ -16,6 +16,7 @@ from semival.ideals import (
     _nat_oracle,
     fuzzy_ideal_classify,
     ideal_member,
+    ideal_power,
     ideal_product,
     ideal_subset,
     ideal_sum,
@@ -67,11 +68,15 @@ def test_nat_membership_examples():
 @given(st.integers(min_value=0, max_value=300),
        st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4))
 def test_nat_oracle_matches_brute_force(x, gens):
-    assert _nat_oracle(gens)(x) == brute_nat_member(x, gens)
+    # through the nat rule: reduced generators, then the predicate
+    nat = get_instance("nat")
+    I = make_ideal(nat, [nat.element(g) for g in gens])
+    assert I.contains(nat.element(x)) == brute_nat_member(x, gens)
 
 
 def test_nat_oracle_large_generators():
-    # same-scale generators exercise the congruence-pruned search route
+    # same-scale generators exercise the congruence-pruned search route; both
+    # lists are already reduced (ascending, none a multiple of another)
     member = _nat_oracle([47 ** 5, 47 ** 4 * 49, 47 ** 3 * 49 ** 2, 49 ** 5])
     assert member(47 ** 5 + 49 ** 5)
     assert member(0)
@@ -163,6 +168,18 @@ def test_ideals_z_sum_normalises_by_gcd():
     assert is_prime_bounded(K, SPEC).holds
     assert ideal_member(K, idz.element(35))
     assert not ideal_member(K, idz.element(6))
+
+
+def test_directly_built_ideal_is_reduced():
+    # the rule runs on construction, not only in make_ideal
+    idz = get_instance("ideals-z")
+    I = FinGenIdeal(idz, (idz.element(4), idz.element(6)))
+    assert [g.payload for g in I.generators] == [2]
+    assert I.contains(idz.element(2))
+    assert not I.contains(idz.element(3))
+    nat = get_instance("nat")
+    J = FinGenIdeal(nat, (nat.element(6), nat.zero, nat.element(4), nat.element(8)))
+    assert [g.payload for g in J.generators] == [4, 6]
 
 
 def test_ideals_z_two_generators_collapse_to_their_sum():
@@ -371,18 +388,18 @@ def test_no_oracle_ideals_build_and_combine_until_queried():
 def test_membership_predicate_is_built_once_per_ideal(monkeypatch):
     from semival import ideals
     builds = []
-    real = ideals._ORACLES["nat"]
+    real = ideals._RULES["nat"]
 
     def counting(gens):
-        builds.append(gens)
-        return real(gens)
+        builds.append([g.payload for g in gens])
+        return real.build(gens)
 
-    monkeypatch.setitem(ideals._ORACLES, "nat", counting)
+    monkeypatch.setitem(ideals._RULES, "nat", real._replace(build=counting))
     nat = get_instance("nat")
-    I = make_ideal(nat, [nat.element(4), nat.element(6)])
+    I = make_ideal(nat, [nat.element(4), nat.element(6), nat.element(8)])
     assert builds == []
     assert [k for k in range(12) if I.contains(nat.element(k))] == [0, 4, 6, 8, 10]
-    assert builds == [[4, 6]]
+    assert builds == [[4, 6]]  # built once, from the reduced generators
 
 
 # -- every oracle against an independent reference --------------------------------
@@ -402,31 +419,39 @@ def ref_bool_poly(x, gens):
     return set().union(*(s for s in shifts if s <= x)) == x
 
 
+def sums_of_multiples(gens, multipliers, add, mul, zero):
+    # every r_1 g_1 + ... + r_k g_k with r_i from the multipliers, folding in
+    # one generator at a time so that long generator lists stay cheap
+    sums = {zero}
+    for g in gens:
+        sums = {add(s, mul(r, g.payload)) for s in sums for r in multipliers}
+    return sums
+
+
 def ref_ideals_z(x, gens):
     # sums are gcds; x = m * gcd takes r_i = m <= x
     x = x.payload
-    return any(reduce(math.gcd, (r * g.payload for r, g in zip(rs, gens))) == x
-               for rs in product(range(x + 1), repeat=len(gens)))
+    return x in sums_of_multiples(gens, range(x + 1), math.gcd, operator.mul, 0)
 
 
 def ref_fuzzy(x, gens):
     # sums are max and products min; every r_i can be taken from {0, x}
     x = x.payload
-    return any(max(min(r, g.payload) for r, g in zip(rs, gens)) == x
-               for rs in product((Fraction(0), x), repeat=len(gens)))
+    return x in sums_of_multiples(gens, (Fraction(0), x), max, min, Fraction(0))
 
 
 def ref_tropical_nat(x, gens):
     # sums are min and products +, with inf (None) as the zero
     x = x.payload
 
-    def total(rs):
-        terms = [r + g.payload for r, g in zip(rs, gens)
-                 if r is not None and g.payload is not None]
-        return min(terms) if terms else None
+    def add(a, b):
+        return b if a is None else a if b is None else min(a, b)
+
+    def mul(a, b):
+        return None if a is None or b is None else a + b
 
     options = (None,) + tuple(range((x or 0) + 1))
-    return any(total(rs) == x for rs in product(options, repeat=len(gens)))
+    return x in sums_of_multiples(gens, options, add, mul, None)
 
 
 def ref_semifield(x, gens):
@@ -465,10 +490,36 @@ def test_oracle_agrees_with_reference(carrier):
     generator_lists = [[inst.zero]] + [rng.sample(pool, rng.randint(1, 3))
                                        for _ in range(6)]
     verdicts = set()
-    for gens in generator_lists:
+    mul = inst.mul
+    for gens, others in zip(generator_lists, generator_lists[1:] + generator_lists[:1]):
         I = make_ideal(inst, gens, dvs=D)
+        J = make_ideal(inst, others, dvs=D)
         expected = [ref(x, gens) for x in pool]
         verdicts.update(expected)
         for _ in range(2):  # the second pass runs the stored predicate
             assert [I.contains(x) for x in pool] == expected, [str(g) for g in gens]
+        # products and powers against the raw, unreduced product generators
+        for K, raw in ((ideal_product(I, J), [mul(a, b) for a in gens for b in others]),
+                       (ideal_power(I, 2), [mul(a, b) for a in gens for b in gens])):
+            assert [K.contains(x) for x in pool] == [ref(x, raw) for x in pool], \
+                [str(g) for g in raw]
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("carrier", ["tropical-nat", "fuzzy", "qnn", "qnn at 5",
+                                     "tropical naturals", "degree-bounded fractions",
+                                     "integer ideals at (5)"])
+def test_threshold_carriers_keep_one_generator(carrier):
+    from semival.dvs import standard_dvs_structures
+    spec = SampleSpec(5, 40, 10)
+    if carrier in ORACLE_CARRIERS:
+        D, inst = None, get_instance(carrier)
+        pool = stream(inst, spec, salt="threshold")
+    else:
+        D = next(D for D in standard_dvs_structures() if D.name == carrier)
+        inst = D.ambient
+        pool = D.sample_carrier(spec, salt="threshold")
+    I = make_ideal(inst, pool[:4], dvs=D)
+    J = make_ideal(inst, pool[4:7], dvs=D)
+    for K in (I, ideal_sum(I, J), ideal_product(I, J), ideal_power(I, 5)):
+        assert len(K.generators) == 1, str(K)

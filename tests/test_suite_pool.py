@@ -3,6 +3,7 @@ re-raised in the parent, the one-CPU path, a dead worker as exit 2, and no
 process outliving the suite, whether it ends or is killed."""
 
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -18,6 +19,8 @@ from semival import cli, suite
 from semival.suite import CriterionResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# sha256 of `semival suite --output json` (stdout, with its newline)
+SUITE_JSON_SHA256 = "391a0f8a273d5396463ee880deb32fc8c54448c60c3c83dbe45c50b77c14e979"
 CONSOLE = "import sys; from semival.cli import main; sys.exit(main())"
 
 needs_fork = pytest.mark.skipif(
@@ -116,6 +119,9 @@ def test_suite_process_reports_twelve_rows_and_leaves_no_process():
     rows = json.loads(out)
     assert [r["criterion"] for r in rows] == list(range(1, 13))
     assert [r["criterion"] for r in rows if not r["passed"]] == [10]
+    # the report is pinned byte for byte: the same under any PYTHONHASHSEED
+    # and on the one-CPU path
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_JSON_SHA256
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 
