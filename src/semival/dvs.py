@@ -5,16 +5,25 @@ exactly (normal forms, Euclidean division, chain and integrality probes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .extended import ExtendedValue
-from .ideals import FinGenIdeal, ideal_subset, make_ideal, principal
+from .ideals import FinGenIdeal, _threshold, ideal_subset, make_ideal, principal
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
 from .semiring import Element, Semiring
-from .valuation import Valuation, get_valuation, in_valuation_semiring, valuate
+from .valuation import (
+    Valuation,
+    _nonnegative,
+    _raw_lt,
+    get_valuation,
+    in_valuation_semiring,
+    valuate,
+)
 
 _VALUE_SEARCH_LIMIT = 4096
 
@@ -26,6 +35,10 @@ class DVSStructure:
     The carrier is the set of ambient elements with nonnegative value; the
     uniformizer has value exactly 1.  ``unit_test`` is the carrier's
     closed-form unit predicate and never consults the valuation.
+
+    Each structure fills three caches lazily, and none changes an answer:
+    the payloads of the uniformizer powers, the principal ideals (t^n), and
+    the threshold rule that reduces and decides its ideals.
     """
 
     name: str
@@ -54,12 +67,66 @@ class DVSStructure:
 
     def sample_carrier(self, spec: SampleSpec, salt: str = "",
                        nonzero: bool = False) -> list[Element]:
-        def keep(x: Element) -> bool:
-            if nonzero and x.is_zero():
-                return False
-            return self.contains(x)
+        amb, raw = self.ambient, self.valuation.payload_fn
+        eq, zero = amb._eq, amb._zero()
 
-        return stream(self.ambient, spec, salt=salt, keep=keep)
+        def keep(x: Element) -> bool:
+            p = x.payload
+            if nonzero and eq(p, zero):
+                return False
+            return _nonnegative(raw(p))
+
+        return stream(amb, spec, salt=salt, keep=keep)
+
+    # -- payload helpers under the element-level operations --------------------
+
+    @cached_property
+    def _powers(self) -> dict:
+        return {}
+
+    def power_payload(self, n: int):
+        """The payload of t^n, any integer n; computed once per n."""
+        powers = self._powers
+        if n not in powers:
+            powers[n] = self.ambient.power(self.uniformizer, n).payload
+        return powers[n]
+
+    @cached_property
+    def _power_ideals(self) -> dict:
+        return {}
+
+    def power_ideal(self, n: int) -> FinGenIdeal:
+        """The principal ideal (t^n) of the carrier, n >= 0; built once per n."""
+        ideals = self._power_ideals
+        if n not in ideals:
+            amb = self.ambient
+            ideals[n] = principal(amb, Element(amb, self.power_payload(n)), dvs=self)
+        return ideals[n]
+
+    @cached_property
+    def ideal_rule(self):
+        """The threshold rule of the carrier's ideals, keyed on the raw value
+        of a generator's payload (inf for zero); a negative key lies outside
+        the carrier."""
+        raw = self.valuation.payload_fn
+
+        def key(x: Element):
+            r = raw(x.payload)
+            return math.inf if r is None else r
+        return _threshold(key, floor=0)
+
+    def normal_form_payload(self, p) -> tuple[object, int]:
+        """(unit, n) with p = unit * t^n and n = v(p), for nonzero p."""
+        n = self.valuation.payload_fn(p)
+        return self.ambient._mul(p, self.power_payload(-n)), n
+
+    def divide_payloads(self, a, b) -> tuple[object, object]:
+        """(q, r) with a = q*b + r, for nonzero b: q = 0 and r = a when
+        v(a) < v(b), else a*b^-1 and 0."""
+        amb, raw = self.ambient, self.valuation.payload_fn
+        if _raw_lt(raw(a), raw(b)):
+            return amb._zero(), a
+        return amb._mul(a, amb._inv(b)), amb._zero()
 
     def __str__(self) -> str:
         return f"{self.name} (t = {self.uniformizer})"
@@ -89,11 +156,11 @@ def standard_dvs_structures() -> list[DVSStructure]:
 def dvs_normal_form(D: DVSStructure, x: Element) -> tuple[Element, int]:
     """Write nonzero x as unit * t^n with n = v(x), computed in the ambient
     semifield; the unit has value 0."""
+    D.ambient._claim(x)
     if x.is_zero():
         raise ValueError("zero has no normal form")
-    n = valuate(D.valuation, x).value
-    unit = D.ambient.mul(x, D.ambient.power(D.uniformizer, -n))
-    return unit, n
+    unit, n = D.normal_form_payload(x.payload)
+    return Element(D.ambient, unit), n
 
 
 def dvs_ideal_of(D: DVSStructure, I: FinGenIdeal) -> int:
@@ -105,8 +172,8 @@ def dvs_ideal_of(D: DVSStructure, I: FinGenIdeal) -> int:
     if I.is_zero():
         raise ValueError("the zero ideal is not a uniformizer power")
     (g,) = I.generators
-    n = valuate(D.valuation, g).value
-    power = principal(D.ambient, D.ambient.power(D.uniformizer, n), dvs=D)
+    n = D.valuation.payload_fn(g.payload)
+    power = D.power_ideal(n)
     if not (ideal_subset(I, power).holds and ideal_subset(power, I).holds):
         raise AssertionError(f"normalisation of {I} failed at n={n}")
     return n
@@ -116,12 +183,13 @@ def euclidean_divide(D: DVSStructure, a: Element, b: Element) -> tuple[Element, 
     """Division with remainder, degree function v: when v(a) < v(b) the
     quotient is 0 and the remainder a; otherwise a*b^-1 divides exactly.
     Ties take the exact-division branch."""
+    amb = D.ambient
+    amb._claim(a)
+    amb._claim(b)
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
-    amb = D.ambient
-    if valuate(D.valuation, a) < valuate(D.valuation, b):
-        return amb.zero, a
-    return amb.div(a, b), amb.zero
+    q, r = D.divide_payloads(a.payload, b.payload)
+    return Element(amb, q), Element(amb, r)
 
 
 def intersection_probe(D: DVSStructure, x: Element, bound: int) -> LawReport:
@@ -133,8 +201,7 @@ def intersection_probe(D: DVSStructure, x: Element, bound: int) -> LawReport:
         raise ValueError("zero lies in every uniformizer power")
     law = f"intersection-chain[{D.name}]"
     for n in range(1, bound + 1):
-        power = principal(D.ambient, D.ambient.power(D.uniformizer, n), dvs=D)
-        if not power.contains(x):
+        if not D.power_ideal(n).contains(x):
             return law_holds(law, detail=f"escapes at n={n}")
     return law_counterexample(law, (x,), detail=f"still inside at n={bound}")
 
@@ -214,18 +281,18 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
     to the unique n with x * t^-n a carrier unit, found by the closed-form
     unit test rather than by reading the defining valuation."""
     amb = D.ambient
-    t = D.uniformizer
+    zero = amb._zero()
 
-    def fn(x: Element) -> ExtendedValue:
-        if x.is_zero():
-            return ExtendedValue.inf("Z")
+    def raw(p):
+        if amb._eq(p, zero):
+            return None
         for n in range(_VALUE_SEARCH_LIMIT):
             for cand in ((n, -n) if n else (0,)):
-                if D.unit_test(amb.mul(x, amb.power(t, -cand))):
-                    return ExtendedValue.fin("Z", cand)
-        raise ValueError(f"no unit class found for {x}")
+                if D.unit_test(Element(amb, amb._mul(p, D.power_payload(-cand)))):
+                    return cand
+        raise ValueError(f"no unit class found for {amb._text(p)}")
 
-    return Valuation(f"value-group({D.name})", amb, "Z", True, fn,
+    return Valuation(f"value-group({D.name})", amb, "Z", True, raw,
                      unit_in_sv=D.unit_test,
                      element_with_value=D.valuation.element_with_value)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extended import GROUP_COMPLETION, ExtendedValue
+from .extended import GROUP_COMPLETION
 from .instances import FractionSemiring, get_instance
 from .semiring import Element, InstanceMismatchError
 from .valuation import Valuation
@@ -107,26 +107,26 @@ def extend_valuation(v: Valuation) -> Valuation:
         raise ValueError(f"{src.sid} is not multiplicatively cancellative")
     frs = get_instance(f"fractions({src.sid})")
     dom = GROUP_COMPLETION[v.domain]
-    base = frs.base
+    base, base_raw = frs.base, v.payload_fn
+    zero = base._zero()
 
-    def fn(x: Element) -> ExtendedValue:
-        num_p, den_p = x.payload
-        if base._eq(num_p, base._zero()):
-            return ExtendedValue._unchecked(dom, None)
-        vn = v.fn(Element(base, num_p))
-        vd = v.fn(Element(base, den_p))
+    def raw(p):
+        num_p, den_p = p
+        if base._eq(num_p, zero):
+            return None
+        vn, vd = base_raw(num_p), base_raw(den_p)
         # the base is entire, so a nonzero numerator could still have value
         # inf only if the rule sends nonzero elements there; guard anyway
-        if vn.is_inf:
-            return ExtendedValue._unchecked(dom, None)
+        if vn is None:
+            return None
         # a difference of two domain values lies in the group completion
-        return ExtendedValue._unchecked(dom, vn.value - vd.value)
+        return vn - vd
 
     def unit_in_sv(x: Element) -> bool:
         num_p, den_p = x.payload
-        if base._eq(num_p, base._zero()):
+        if base._eq(num_p, zero):
             return False
-        return v.fn(Element(base, num_p)) == v.fn(Element(base, den_p))
+        return base_raw(num_p) == base_raw(den_p)
 
     ewv = None
     if v.element_with_value is not None:
@@ -135,5 +135,5 @@ def extend_valuation(v: Valuation) -> Valuation:
             den = v.element_with_value(-g if g < 0 else 0)
             return Element(frs, frs._canon((num.payload, den.payload)))
 
-    return Valuation(f"ext({v.rule})", frs, dom, v.surjective, fn,
+    return Valuation(f"ext({v.rule})", frs, dom, v.surjective, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)

@@ -19,7 +19,8 @@ list into the membership predicate, on the ideal's first ``contains``.
                 is_zero on semifields, whose only ideals are zero and the
                 whole carrier; v(x) on DVS carriers, whose nonzero ideals are
                 uniformizer powers and which refuse generators of negative
-                value as lying outside the carrier
+                value as lying outside the carrier (each structure builds
+                its rule once, see DVSStructure.ideal_rule)
 
 Other instances drop duplicates and raise UnsupportedOperationError on the
 first membership query.  Subset of finitely generated ideals is exact via
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
@@ -41,7 +42,7 @@ from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
-from .valuation import Valuation, in_valuation_semiring, level_membership, valuate
+from .valuation import Valuation, in_valuation_semiring, level_membership
 
 _APERY_BUDGET = 150_000
 
@@ -234,8 +235,7 @@ _NO_ORACLE = _Rule(_dedupe, _no_oracle)
 
 def _rule_for(instance: Semiring, dvs) -> _Rule:
     if dvs is not None:
-        v = dvs.valuation
-        return _threshold(partial(valuate, v), floor=v.zero_value)
+        return dvs.ideal_rule
     return _RULES.get(instance.sid, _SEMIFIELD if instance.caps.semifield else _NO_ORACLE)
 
 

@@ -6,6 +6,10 @@ the multiplicative identity to 0 and zero to inf.  Each registered rule is
 total on its source carrier and comes with a closed-form unit test for the
 nonnegative subsemiring (never a search) plus, for surjective rules, a
 constructor producing an element of any prescribed value.
+
+A rule is defined once, on payloads: it returns a raw value, an int or a
+Fraction, or None for inf.  ``valuate`` lifts it to elements and extended
+values; the law loops and membership tests call it on payloads directly.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .extended import EQ, ExtendedValue, ext_add, ext_compare, ext_min
+from .extended import DomainMismatchError, ExtendedValue
 from .instances import MonoidSemiring, TropicalSemiring, get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream, stream
@@ -24,29 +28,57 @@ from .semiring import Element, Semiring
 # rule results lie in their domain by construction, so they skip validation
 _value = ExtendedValue._unchecked
 
+# A raw value is an int or a Fraction, or None for inf.
+Raw = int | Fraction | None
+
+
+def _raw_lt(a: Raw, b: Raw) -> bool:
+    return a is not None and (b is None or a < b)
+
+
+def _raw_min(a: Raw, b: Raw) -> Raw:
+    return b if a is None or (b is not None and b < a) else a
+
+
+def _raw_add(a: Raw, b: Raw) -> Raw:
+    return None if a is None or b is None else a + b
+
+
+def _nonnegative(r: Raw) -> bool:
+    return r is None or r >= 0
+
 
 @dataclass(frozen=True)
 class Valuation:
-    """A named, total evaluation rule from one instance into one domain."""
+    """A named, total evaluation rule from one instance into one domain.
+
+    ``payload_fn`` is the rule on payloads; ``fn``, its lift to elements and
+    extended values, is derived from it unless given.
+    """
 
     rule: str
     source: Semiring
     domain: str
     surjective: bool
-    fn: Callable[[Element], ExtendedValue] = field(repr=False, compare=False)
+    payload_fn: Callable[[object], Raw] = field(repr=False, compare=False)
     # closed-form test for "unit of the nonnegative subsemiring"
     unit_in_sv: Callable[[Element], bool] | None = field(
         default=None, repr=False, compare=False)
     # for surjective rules: an element of the prescribed finite value
     element_with_value: Callable = field(default=None, repr=False, compare=False)
+    fn: Callable[[Element], ExtendedValue] = field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.fn is None:
+            domain, raw = self.domain, self.payload_fn
+            object.__setattr__(self, "fn", lambda x: _value(domain, raw(x.payload)))
 
     def __call__(self, x: Element) -> ExtendedValue:
         return valuate(self, x)
 
     @cached_property
     def zero_value(self) -> ExtendedValue:
-        # built once per valuation: membership filters compare against it
-        # once per element
         return ExtendedValue.fin(self.domain, 0)
 
     def __str__(self) -> str:
@@ -82,15 +114,21 @@ def valuate(v: Valuation, x: Element) -> ExtendedValue:
     return v.fn(x)
 
 
+def _raw_of(v: Valuation, x: Element) -> Raw:
+    v.source._claim(x)
+    return v.payload_fn(x.payload)
+
+
 def in_valuation_semiring(v: Valuation, x: Element) -> bool:
     """Membership in the subsemiring of nonnegative values (0 included,
     since its value inf exceeds 0)."""
-    return valuate(v, x) >= v.zero_value
+    return _nonnegative(_raw_of(v, x))
 
 
 def in_positive_ideal(v: Valuation, x: Element) -> bool:
     """Membership in the prime ideal of strictly positive values."""
-    return valuate(v, x) > v.zero_value
+    r = _raw_of(v, x)
+    return r is None or r > 0
 
 
 def level_membership(v: Valuation, x: Element, alpha: ExtendedValue,
@@ -99,11 +137,14 @@ def level_membership(v: Valuation, x: Element, alpha: ExtendedValue,
     value >= alpha otherwise; within_sv additionally requires value >= 0."""
     if alpha.is_inf:
         raise ValueError("level sets are indexed by finite values")
-    val = valuate(v, x)
-    ok = val > alpha if strict else val >= alpha
-    if within_sv:
-        ok = ok and val >= v.zero_value
-    return ok
+    if alpha.domain != v.domain:
+        raise DomainMismatchError(
+            f"domains differ: {alpha.domain!r} vs {v.domain!r}")
+    r = _raw_of(v, x)
+    if r is None:
+        return True
+    return (r > alpha.value if strict else r >= alpha.value) and (
+        not within_sv or r >= 0)
 
 
 def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
@@ -115,28 +156,30 @@ def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
         return law_counterexample(law, (v.source.one,), spec, "v(1) != 0")
     if not valuate(v, v.source.zero).is_inf:
         return law_counterexample(law, (v.source.zero,), spec, "v(0) != inf")
-    src, fn = v.source, v.fn
+    src, raw = v.source, v.payload_fn
     add, mul = src._add, src._mul
     for x, y in pair_stream(src, spec, salt=f"vax:{v.rule}"):
-        vx, vy = fn(x), fn(y)
-        if fn(Element(src, mul(x.payload, y.payload))) != ext_add(vx, vy):
+        p, q = x.payload, y.payload
+        vx, vy = raw(p), raw(q)
+        if raw(mul(p, q)) != _raw_add(vx, vy):
             return law_counterexample(law, (x, y), spec, "v(xy) != v(x)+v(y)")
-        if fn(Element(src, add(x.payload, y.payload))) < ext_min(vx, vy):
+        if _raw_lt(raw(add(p, q)), _raw_min(vx, vy)):
             return law_counterexample(law, (x, y), spec, "v(x+y) < min")
     return law_holds(law, spec)
 
 
 def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
     """Search sampled pairs with v(x) != v(y) for v(x+y) != min{v(x),v(y)}."""
-    src, fn = v.source, v.fn
+    src, raw, dom = v.source, v.payload_fn, v.domain
     add = src._add
     for x, y in pair_stream(src, spec, salt=f"minp:{v.rule}"):
-        vx, vy = fn(x), fn(y)
-        if ext_compare(vx, vy) == EQ:
+        vx, vy = raw(x.payload), raw(y.payload)
+        if vx == vy:
             continue
-        vsum = fn(Element(src, add(x.payload, y.payload)))
-        if vsum != ext_min(vx, vy):
-            return MinPropertyReport("counterexample", spec, x, y, vx, vy, vsum)
+        vsum = raw(add(x.payload, y.payload))
+        if vsum != _raw_min(vx, vy):
+            return MinPropertyReport("counterexample", spec, x, y, _value(dom, vx),
+                                     _value(dom, vy), _value(dom, vsum))
     return MinPropertyReport("holds", spec)
 
 
@@ -146,10 +189,20 @@ def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
     law = f"units-zeroset[{v.rule}@{v.source.sid}]"
     if v.unit_in_sv is None:
         raise ValueError(f"{v.rule}: no unit test for the nonnegative part")
-    for x in stream(v.source, spec, salt=f"uz:{v.rule}",
-                    keep=lambda e: in_valuation_semiring(v, e)):
+    raw, values = v.payload_fn, []
+
+    def keep(x: Element) -> bool:
+        r = raw(x.payload)
+        if _nonnegative(r):
+            values.append(r)
+            return True
+        return False
+
+    # the stream keeps elements in the order keep accepted them
+    kept = stream(v.source, spec, salt=f"uz:{v.rule}", keep=keep)
+    for x, r in zip(kept, values):
         is_u = v.unit_in_sv(x)
-        is_z = valuate(v, x) == v.zero_value
+        is_z = r == 0
         if is_u != is_z:
             side = "unit with v != 0" if is_u else "v = 0 but not a unit"
             return law_counterexample(law, (x,), spec, side)
@@ -210,19 +263,17 @@ def _padic_exponent(n: int, p: int) -> int:
 def _make_trivial(source: Semiring) -> Valuation:
     if not source.caps.entire:
         raise ValueError("the trivial valuation needs an entire source")
-    zero = source.zero
+    zero = source._zero()
 
-    def fn(x):
-        if source._eq(x.payload, zero.payload):
-            return _value("trivial", None)
-        return _value("trivial", 0)
+    def raw(p):
+        return None if source._eq(p, zero) else 0
 
     def ewv(m):
         if m != 0:
             raise ValueError("trivial domain only contains 0")
         return source.one
 
-    return Valuation("trivial", source, "trivial", True, fn,
+    return Valuation("trivial", source, "trivial", True, raw,
                      unit_in_sv=source.is_unit, element_with_value=ewv)
 
 
@@ -231,28 +282,23 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
         raise ValueError(f"vp parameter must be prime, got {p}")
     rule = f"vp:{p}"
     if source.sid == "nat":
-        def fn(x):
-            n = x.payload
-            if n == 0:
-                return _value("N0", None)
-            return _value("N0", _padic_exponent(n, p))
+        def raw(n):
+            return None if n == 0 else _padic_exponent(n, p)
 
-        return Valuation(rule, source, "N0", True, fn,
+        return Valuation(rule, source, "N0", True, raw,
                          unit_in_sv=lambda x: x.payload == 1,
                          element_with_value=lambda m: source.element(p ** m))
     if source.sid == "qnn":
-        def fn(x):
-            q = x.payload
+        def raw(q):
             if q == 0:
-                return _value("Z", None)
-            return _value(
-                "Z", _padic_exponent(q.numerator, p) - _padic_exponent(q.denominator, p))
+                return None
+            return _padic_exponent(q.numerator, p) - _padic_exponent(q.denominator, p)
 
         def unit_in_sv(x):
             q = x.payload
             return q != 0 and q.numerator % p != 0 and q.denominator % p != 0
 
-        return Valuation(rule, source, "Z", True, fn, unit_in_sv=unit_in_sv,
+        return Valuation(rule, source, "Z", True, raw, unit_in_sv=unit_in_sv,
                          element_with_value=lambda m: source.element(Fraction(p) ** m))
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
 
@@ -264,12 +310,6 @@ def _make_low_order(source: Semiring) -> Valuation:
         raise ValueError("low-order needs an entire coefficient base")
     dom = source.exponents
 
-    def fn(x):
-        e = source.low_order(x.payload)
-        if e is None:
-            return _value(dom, None)
-        return _value(dom, e)
-
     def unit_in_sv(x):
         # inside the nonnegative part only exponent-zero monomials with unit
         # coefficients are invertible, whatever the ambient exponent monoid
@@ -279,7 +319,7 @@ def _make_low_order(source: Semiring) -> Valuation:
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
-    return Valuation("low-order", source, dom, True, fn,
+    return Valuation("low-order", source, dom, True, source.low_order,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -289,12 +329,6 @@ def _make_deg_high(source: Semiring) -> Valuation:
     if not (source.base.caps.entire and source.base.caps.zerosumfree):
         raise ValueError("deg-high needs an entire zerosumfree coefficient base")
 
-    def fn(x):
-        e = source.high_order(x.payload)
-        if e is None:
-            return _value("Z", None)
-        return _value("Z", e)
-
     def unit_in_sv(x):
         p = x.payload
         return len(p) == 1 and p[0][0] == 0 and source.base._is_unit(p[0][1])
@@ -302,7 +336,7 @@ def _make_deg_high(source: Semiring) -> Valuation:
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
-    return Valuation("deg-high", source, "Z", True, fn,
+    return Valuation("deg-high", source, "Z", True, source.high_order,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -311,12 +345,8 @@ def _make_tropical_id(source: Semiring) -> Valuation:
         raise ValueError("tropical-id is defined on the tropical instances")
     dom = "Z" if source.values == "int" else "N0"
 
-    def fn(x):
-        if x.payload is None:
-            return _value(dom, None)
-        return _value(dom, x.payload)
-
-    return Valuation("tropical-id", source, dom, True, fn,
+    # the payload is the value itself, None standing for inf
+    return Valuation("tropical-id", source, dom, True, lambda p: p,
                      unit_in_sv=lambda x: x.payload == 0,
                      element_with_value=lambda m: source.element(m))
 
@@ -329,11 +359,11 @@ def _make_deg_frac(source: Semiring) -> Valuation:
         raise ValueError("deg-frac is defined on fractions(poly(nat))")
     poly = source.base
 
-    def fn(x):
-        num, den = x.payload
+    def raw(p):
+        num, den = p
         if not num:
-            return _value("Z", None)
-        return _value("Z", poly.high_order(num) - poly.high_order(den))
+            return None
+        return poly.high_order(num) - poly.high_order(den)
 
     def unit_in_sv(x):
         num, den = x.payload
@@ -344,7 +374,7 @@ def _make_deg_frac(source: Semiring) -> Valuation:
         d_pow = poly.monomial_payload(max(-m, 0), poly.base._one())
         return source.element((x_pow, d_pow))
 
-    return Valuation("deg-frac", source, "Z", True, fn,
+    return Valuation("deg-frac", source, "Z", True, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -356,11 +386,11 @@ def _make_vm_idz(p: int, source: Semiring) -> Valuation:
         raise ValueError(f"vm-idz parameter must be prime, got {p}")
     rule = f"vm-idz:{p}"
 
-    def fn(x):
-        num, den = x.payload
+    def raw(q):
+        num, den = q
         if num == 0:
-            return _value("Z", None)
-        return _value("Z", _padic_exponent(num, p) - _padic_exponent(den, p))
+            return None
+        return _padic_exponent(num, p) - _padic_exponent(den, p)
 
     def unit_in_sv(x):
         num, den = x.payload
@@ -369,7 +399,7 @@ def _make_vm_idz(p: int, source: Semiring) -> Valuation:
     def ewv(m):
         return source.element((p ** max(m, 0), p ** max(-m, 0)))
 
-    return Valuation(rule, source, "Z", True, fn,
+    return Valuation(rule, source, "Z", True, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 

@@ -26,7 +26,10 @@ import re
 from itertools import product
 from math import prod
 
+import pytest
+
 from semival import suite
+from semival.dvs import DVSStructure, standard_dvs_structures
 from semival.grammar import parse_content_polynomial
 from semival.instances import get_instance
 
@@ -61,6 +64,31 @@ def test_criterion_05_extension_to_fractions():
 
 def test_criterion_06_discrete_structure_battery():
     _run(suite.criterion_6)
+
+
+_normal_form = DVSStructure.normal_form_payload
+
+
+def _unit_times_two(D, p):
+    # 2 is a unit at 5: the unit keeps value 0 but no longer multiplies back
+    unit, n = _normal_form(D, p)
+    return unit * 2, n
+
+
+@pytest.mark.parametrize("name,broken,problem", [
+    # the unit is x itself, whose value is n
+    ("normal_form_payload", lambda D, p: (p, D.valuation.payload_fn(p)),
+     "has nonzero value"),
+    ("normal_form_payload", _unit_times_two, "does not multiply back"),
+    ("divide_payloads", lambda D, a, b: (D.ambient._zero(), D.ambient._zero()),
+     "a != qb + r"),
+    # a = 0*b + a always holds, but v(a) is not always below v(b)
+    ("divide_payloads", lambda D, a, b: (D.ambient._zero(), a), "remainder too large"),
+])
+def test_criterion_06_reports_each_broken_operation(monkeypatch, name, broken, problem):
+    monkeypatch.setattr(DVSStructure, name, broken)
+    problems = suite._dvs_battery(standard_dvs_structures()[0])
+    assert len(problems) == 1 and problem in problems[0], problems
 
 
 def test_criterion_07_incomparable_boolean_ideals():

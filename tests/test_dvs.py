@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -100,19 +101,30 @@ def test_generators_outside_the_carrier_are_refused(qnn5):
             build()
 
 
-def test_carrier_rule_values_each_generator_once(qnn5, monkeypatch):
-    from semival import ideals
+def test_carrier_rule_values_each_generator_once(qnn5):
     calls = []
+    rule = qnn5.valuation.payload_fn
 
-    def counting(v, x):
-        calls.append(str(x))
-        return valuate(v, x)
+    def counting(p):
+        calls.append(str(p))
+        return rule(p)
 
-    monkeypatch.setattr(ideals, "valuate", counting)
+    D = replace(qnn5, valuation=replace(qnn5.valuation, payload_fn=counting))
     qnn = get_instance("qnn")
-    I = carrier_ideal(qnn5, [qnn.element(50), qnn.element(15), qnn.element(3)])
+    I = carrier_ideal(D, [qnn.element(50), qnn.element(15), qnn.element(3)])
     assert calls == ["50", "15", "3"]  # one value each: carrier test and threshold
     assert [str(g) for g in I.generators] == ["3"]
+
+
+def test_ideal_rule_and_power_caches_fill_once_per_structure():
+    D = dvs_structure("vp:5", get_instance("qnn"))
+    assert D.ideal_rule is D.ideal_rule
+    assert D.power_ideal(3) is D.power_ideal(3)
+    assert str(D.power_ideal(3)) == "ideal[125]"
+    assert D.power_payload(-2) == Fraction(1, 25)
+    other = dvs_structure("vp:5", get_instance("qnn"))
+    assert other.ideal_rule is not D.ideal_rule
+    assert other.power_ideal(3) is not D.power_ideal(3)
 
 
 def test_euclidean_division_examples(qnn5):

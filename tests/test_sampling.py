@@ -4,6 +4,7 @@ import json
 import pytest
 
 from semival.content import content_pairs
+from semival.dvs import standard_dvs_structures
 from semival.fracfield import extend_valuation
 from semival.instances import ALL_REGISTERED_IDS, get_instance
 from semival.reports import SampleSpec
@@ -280,3 +281,70 @@ def test_content_pairs_match_recorded_digest():
     pairs = content_pairs(get_instance("nat"), SampleSpec(1, 50, 50))
     assert len(pairs) == 50
     assert _digest(pairs) == CONTENT_PAIRS_DIGEST
+
+
+# The carrier streams of criteria 6, 11 and 12 at the suite's salts and
+# specs, (salt, spec, nonzero), on each of the four standard structures.
+CARRIER_STREAMS = (
+    ("ideals", SampleSpec(1, 120, 12), True),
+    ("nf", SampleSpec(1, 10_000, 50), True),
+    ("div-a", SampleSpec(1, 10_000, 50), False),
+    ("div-b", SampleSpec(1, 10_000, 50), True),
+    ("chain", SampleSpec(1, 1000, 50), True),
+    ("cyclic-x", SampleSpec(1, 1000, 50), True),
+    ("cyclic-y", SampleSpec(1, 25, 50), False),
+    ("inside", SampleSpec(1, 100, 50), True),
+)
+# sha256 (first 16 hex digits) of each carrier stream's element texts, and
+# of criterion 11's stream of nonzero elements outside the 5-adic carrier,
+# recorded before the carrier filter ran on payloads
+CARRIER_DIGESTS = {
+    "qnn at 5 ideals": "afbc5f3e22cfaff1",
+    "qnn at 5 nf": "4ef13c989bff2343",
+    "qnn at 5 div-a": "d6321750ab07fd10",
+    "qnn at 5 div-b": "111d8341a8371452",
+    "qnn at 5 chain": "0c3e6dd749c55eda",
+    "qnn at 5 cyclic-x": "fa13d9baab9367c4",
+    "qnn at 5 cyclic-y": "01a2777424af544f",
+    "qnn at 5 inside": "67db2d14e3527c51",
+    "tropical naturals ideals": "fcf33d275bc2f596",
+    "tropical naturals nf": "57d7408d56f471d1",
+    "tropical naturals div-a": "9ac7f1509d0b6ddf",
+    "tropical naturals div-b": "8fe2edc22908d24c",
+    "tropical naturals chain": "8d8e48354341ccf6",
+    "tropical naturals cyclic-x": "929ad62f98a1ceb6",
+    "tropical naturals cyclic-y": "16e7a2f97a1e1f24",
+    "tropical naturals inside": "547c4896c975a7f7",
+    "degree-bounded fractions ideals": "33a61b0c7d55e87d",
+    "degree-bounded fractions nf": "048a2fc89b109f50",
+    "degree-bounded fractions div-a": "47aa8d18ce665a70",
+    "degree-bounded fractions div-b": "1d3b7f76248a76b9",
+    "degree-bounded fractions chain": "80014a20767773bd",
+    "degree-bounded fractions cyclic-x": "99861d7d0e074b3e",
+    "degree-bounded fractions cyclic-y": "9be0a2e5e19c6be5",
+    "degree-bounded fractions inside": "ff15bf292c2a34a7",
+    "integer ideals at (5) ideals": "eb418a14daa7b68f",
+    "integer ideals at (5) nf": "72fee995b3038fe2",
+    "integer ideals at (5) div-a": "bbefd0e4b7d5a4e2",
+    "integer ideals at (5) div-b": "ec9e2e2c41e96d15",
+    "integer ideals at (5) chain": "0a54adfdf4ba79a1",
+    "integer ideals at (5) cyclic-x": "fdf89a575d303492",
+    "integer ideals at (5) cyclic-y": "ce407a8f608c07b3",
+    "integer ideals at (5) inside": "e8dcb78c759aadcb",
+    "qnn at 5 outside": "7497197c526a9e50",
+}
+
+
+def test_carrier_streams_match_recorded_digests():
+    got = {}
+    structures = standard_dvs_structures()
+    for D in structures:
+        for salt, spec, nonzero in CARRIER_STREAMS:
+            xs = D.sample_carrier(spec, salt=salt, nonzero=nonzero)
+            assert len(xs) == spec.count, (D.name, salt)
+            got[f"{D.name} {salt}"] = _digest((x,) for x in xs)
+    D = structures[0]
+    outside = stream(D.ambient, SampleSpec(1, 100, 50), salt="outside",
+                     keep=lambda x: not x.is_zero() and not D.contains(x))
+    got["qnn at 5 outside"] = _digest((x,) for x in outside)
+    assert got == CARRIER_DIGESTS

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from semival.dvs import standard_dvs_structures, value_group_valuation
 from semival.extended import ExtendedValue, _check_scalar
 from semival.fracfield import extend_valuation
 from semival.instances import get_instance
@@ -11,6 +14,7 @@ from semival.reports import SampleSpec
 from semival.sampling import pair_stream, stream
 from semival.valuation import (
     REGISTERED_VALUATIONS,
+    Valuation,
     _is_prime,
     _padic_exponent,
     check_min_property,
@@ -365,3 +369,103 @@ def test_padic_exponent_of_a_high_power_is_fast():
     assert valuate(get_valuation("vp:5", get_instance("nat")),
                    get_instance("nat").element(n)) == fin("N0", 100000)
     assert time.perf_counter() - t0 < 2
+
+
+def _all_rules():
+    """Every registered rule, its extension to fractions, and the value-group
+    valuation of each standard discrete structure."""
+    out = []
+    for rule, sid in REGISTERED_VALUATIONS:
+        v = get_valuation(rule, get_instance(sid))
+        out += [v, extend_valuation(v)]
+    return out + [value_group_valuation(D) for D in standard_dvs_structures()]
+
+
+# sha256 (first 16 hex digits) of the value texts over each rule's sample
+# below, recorded before the rules were rewritten as payload functions
+VALUE_DIGESTS = {
+    "trivial@qnn": "04c204a3964d7ff7",
+    "ext(trivial)@fractions(qnn)": "d450affe8c82093c",
+    "vp:5@nat": "1e8c5c527d904c7a",
+    "ext(vp:5)@fractions(nat)": "4ad039a7b47e2676",
+    "vp:5@qnn": "6b385b7debd2707f",
+    "ext(vp:5)@fractions(qnn)": "bc92884d641524df",
+    "low-order@poly(nat)": "d2b69dc08d7bf985",
+    "ext(low-order)@fractions(poly(nat))": "cd65ac6eb7b14869",
+    "low-order@laurent(nat)": "20175c952b6d679a",
+    "ext(low-order)@fractions(laurent(nat))": "22f979dfffe43cb3",
+    "low-order@monoid(nat,N0)": "7a8619a4976dbb36",
+    "ext(low-order)@fractions(monoid(nat,N0))": "21c4d64d2cfbeda8",
+    "deg-high@laurent(nat)": "d7fcc12aa521a4c1",
+    "ext(deg-high)@fractions(laurent(nat))": "a1822174e9198c34",
+    "tropical-id@tropical-nat": "2e7a60f5c1465a3b",
+    "ext(tropical-id)@fractions(tropical-nat)": "6906ddd6ce04ad43",
+    "tropical-id@tropical-int": "4de7bf068c06553e",
+    "ext(tropical-id)@fractions(tropical-int)": "545ee21a1a9f10e6",
+    "deg-frac@fractions(poly(nat))": "94084a0e2db30d12",
+    "ext(deg-frac)@fractions(fractions(poly(nat)))": "ccbb42ca26b5144f",
+    "vm-idz:5@fractions(ideals-z)": "a661e21c39bbcf9d",
+    "ext(vm-idz:5)@fractions(fractions(ideals-z))": "1cb6413c28f02c7a",
+    "value-group(qnn at 5)@qnn": "6b385b7debd2707f",
+    "value-group(tropical naturals)@tropical-int": "4de7bf068c06553e",
+    "value-group(degree-bounded fractions)@fractions(poly(nat))": "94084a0e2db30d12",
+    "value-group(integer ideals at (5))@fractions(ideals-z)": "a661e21c39bbcf9d",
+}
+
+
+def test_payload_rules_agree_with_valuate_and_send_zero_to_inf():
+    digests = {}
+    for v in _all_rules():
+        src = v.source
+        xs = [*src.preamble, *stream(src, SampleSpec(1, 200, 50), salt="payload-rule"),
+              src.zero]
+        values = []
+        for x in xs:
+            raw = v.payload_fn(x.payload)
+            # the checked constructor validates the raw value against the domain
+            assert valuate(v, x) == ExtendedValue(v.domain, raw), (v.rule, str(x))
+            assert (raw is None) == x.is_zero(), (v.rule, str(x))
+            values.append(str(valuate(v, x)))
+        digests[f"{v.rule}@{src.sid}"] = hashlib.sha256(
+            json.dumps(values).encode()).hexdigest()[:16]
+    assert digests == VALUE_DIGESTS
+
+
+def test_axioms_refute_a_finite_sum_of_two_infinite_values():
+    # inf on the multiples of 2 or 3: products stay consistent and v(1) = 0,
+    # but v(2 + 3) = 0 lies below min(inf, inf)
+    nat = get_instance("nat")
+    v = Valuation("inf-on-2-or-3", nat, "N0", True,
+                  lambda n: None if n % 2 == 0 or n % 3 == 0 else 0)
+    report = check_valuation_axioms(v, SPEC)
+    assert not report.holds
+    assert report.detail == "v(x+y) < min"
+    x, y = report.witness
+    assert valuate(v, x).is_inf and valuate(v, y).is_inf
+    assert not valuate(v, nat.add(x, y)).is_inf
+
+
+def test_units_vs_zeroset_values_each_element_once():
+    from dataclasses import replace
+    qnn = get_instance("qnn")
+    v = get_valuation("vp:5", qnn)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return v.payload_fn(p)
+
+    assert units_vs_zeroset(replace(v, payload_fn=counting), SPEC).holds
+    tried = []
+    stream(qnn, SPEC, salt="uz:vp:5",
+           keep=lambda x: tried.append(x) or in_valuation_semiring(v, x))
+    assert calls == [x.payload for x in tried]
+
+
+@pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
+def test_extension_units_are_its_value_zero_set(rule, sid):
+    # on a semifield x is a unit of the nonnegative part iff v(x) = 0, since
+    # v(1/x) = -v(x)
+    ext = extend_valuation(get_valuation(rule, get_instance(sid)))
+    report = units_vs_zeroset(ext, SPEC)
+    assert report.holds, str(report)
