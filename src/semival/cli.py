@@ -25,6 +25,7 @@ from .fracfield import extend_valuation
 from .grammar import ParseError, parse_element, parse_ideal
 from .ideals import (
     IntervalIdeal,
+    first_incomparable_pair,
     fuzzy_ideal_classify,
     ideal_product,
     ideal_sum,
@@ -155,17 +156,12 @@ def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport
         inst = instance
     ideals = [make_ideal(inst, pool[i: i + 2], dvs=dvs)
               for i in range(0, len(pool) - 1, 2)]
-    checked = 0
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if checked >= spec.count:
-                return LawReport(law, "holds", spec)
-            checked += 1
-            report = ideals_comparable(ideals[i], ideals[j], spec)
-            if not report.holds:
-                return LawReport(law, "counterexample", spec, report.witness,
-                                 f"between {ideals[i]} and {ideals[j]}")
-    return LawReport(law, "holds", spec)
+    found = first_incomparable_pair(ideals, spec.count)
+    if found is None:
+        return LawReport(law, "holds", spec)
+    i, j, report = found
+    return LawReport(law, "counterexample", spec, report.witness,
+                     f"between {ideals[i]} and {ideals[j]}")
 
 
 def _gaussian(args, instance, valuation, spec: SampleSpec) -> LawReport:

@@ -5,12 +5,11 @@ exactly (normal forms, Euclidean division, chain and integrality probes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .extended import ExtendedValue
+from .extended import ExtendedValue, _nonnegative, _raw_lt
 from .ideals import FinGenIdeal, _threshold, ideal_subset, make_ideal, principal
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
@@ -18,8 +17,6 @@ from .sampling import stream
 from .semiring import Element, Semiring
 from .valuation import (
     Valuation,
-    _nonnegative,
-    _raw_lt,
     get_valuation,
     in_valuation_semiring,
     valuate,
@@ -32,9 +29,10 @@ _VALUE_SEARCH_LIMIT = 4096
 class DVSStructure:
     """A discrete valuation semiring presented inside its ambient semifield.
 
-    The carrier is the set of ambient elements with nonnegative value; the
-    uniformizer has value exactly 1.  ``unit_test`` is the carrier's
-    closed-form unit predicate and never consults the valuation.
+    The carrier is the set of ambient elements with nonnegative value.  The
+    valuation supplies the uniformizer, its element of value exactly 1, and
+    ``unit_test``, its closed-form unit predicate for the carrier, which
+    never consults the value.
 
     Each structure fills three caches lazily, and none changes an answer:
     the payloads of the uniformizer powers, the principal ideals (t^n), and
@@ -43,11 +41,11 @@ class DVSStructure:
 
     name: str
     valuation: Valuation
-    uniformizer: Element
-    unit_test: Callable[[Element], bool] = field(repr=False, compare=False)
+    uniformizer: Element = field(init=False)
 
     def __post_init__(self):
         v = self.valuation
+        object.__setattr__(self, "uniformizer", v.element_with_value(1))
         if v.domain != "Z":
             raise ValueError("a discrete structure needs integer values")
         if not v.source.caps.semifield or not v.surjective:
@@ -57,6 +55,10 @@ class DVSStructure:
             raise ValueError("the uniformizer must have value 1")
         if self.unit_test(self.uniformizer):
             raise ValueError("the uniformizer cannot be a unit")
+
+    @property
+    def unit_test(self) -> Callable[[Element], bool]:
+        return self.valuation.unit_in_sv
 
     @property
     def ambient(self) -> Semiring:
@@ -106,14 +108,10 @@ class DVSStructure:
     @cached_property
     def ideal_rule(self):
         """The threshold rule of the carrier's ideals, keyed on the raw value
-        of a generator's payload (inf for zero); a negative key lies outside
-        the carrier."""
+        of a generator's payload (None, inf, for zero); a negative key lies
+        outside the carrier."""
         raw = self.valuation.payload_fn
-
-        def key(x: Element):
-            r = raw(x.payload)
-            return math.inf if r is None else r
-        return _threshold(key, floor=0)
+        return _threshold(lambda x: raw(x.payload), floor=0)
 
     def normal_form_payload(self, p) -> tuple[object, int]:
         """(unit, n) with p = unit * t^n and n = v(p), for nonzero p."""
@@ -136,8 +134,7 @@ def dvs_structure(rule: str, source: Semiring, name: str | None = None) -> DVSSt
     v = get_valuation(rule, source)
     if v.element_with_value is None or v.unit_in_sv is None:
         raise ValueError(f"{rule} does not support a discrete structure")
-    return DVSStructure(name or f"{source.sid}@{rule}", v,
-                        v.element_with_value(1), v.unit_in_sv)
+    return DVSStructure(name or f"{source.sid}@{rule}", v)
 
 
 def standard_dvs_structures() -> list[DVSStructure]:

@@ -19,6 +19,25 @@ GROUP_COMPLETION = {"trivial": "trivial", "N0": "Z", "Z": "Z", "Q": "Q"}
 
 LT, EQ, GT = -1, 0, 1
 
+# A raw value is a finite scalar, an int or a Fraction, or None for inf.
+Raw = int | Fraction | None
+
+
+def _raw_lt(a: Raw, b: Raw) -> bool:
+    return a is not None and (b is None or a < b)
+
+
+def _raw_min(a: Raw, b: Raw) -> Raw:
+    return b if a is None or (b is not None and b < a) else a
+
+
+def _raw_add(a: Raw, b: Raw) -> Raw:
+    return None if a is None or b is None else a + b
+
+
+def _nonnegative(r: Raw) -> bool:
+    return r is None or r >= 0
+
 
 class DomainMismatchError(ValueError):
     """Raised when two extended values from different domains are combined."""
@@ -107,25 +126,20 @@ def _same_domain(a: ExtendedValue, b: ExtendedValue) -> None:
 def ext_add(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
     """Tomonoid addition; the top element absorbs."""
     _same_domain(a, b)
-    if a.value is None or b.value is None:
-        return ExtendedValue._unchecked(a.domain, None)
-    return ExtendedValue._unchecked(a.domain, a.value + b.value)
+    return ExtendedValue._unchecked(a.domain, _raw_add(a.value, b.value))
 
 
 def ext_compare(a: ExtendedValue, b: ExtendedValue) -> int:
     """Total order; returns LT, EQ or GT.  The top element is greatest."""
     _same_domain(a, b)
-    if a.value is None:
-        return EQ if b.value is None else GT
-    if b.value is None:
-        return LT
     if a.value == b.value:
         return EQ
-    return LT if a.value < b.value else GT
+    return LT if _raw_lt(a.value, b.value) else GT
 
 
 def ext_min(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
-    return a if ext_compare(a, b) != GT else b
+    _same_domain(a, b)
+    return b if _raw_lt(b.value, a.value) else a
 
 
 def ext_neg(a: ExtendedValue) -> ExtendedValue:

@@ -19,7 +19,7 @@ from functools import wraps
 
 from .content import ContentPolynomial, cp_add, cp_mul, make_content_poly
 from .ideals import IntervalIdeal, make_ideal
-from .instances import FractionSemiring, MonoidSemiring
+from .instances import FractionSemiring, MonoidSemiring, split_top_level
 from .semiring import Element, Semiring
 
 
@@ -121,15 +121,17 @@ class _Parser:
             node = ("pow", node, self.parse_exponent())
         return node
 
+    def expect_int(self) -> int:
+        tok = self.peek()
+        if tok.kind == "int":
+            return self.take().value
+        raise ParseError("syntax error", tok.pos, ("integer",))
+
     def parse_exponent(self):
         tok = self.peek()
         if self.at_sym("-"):
             self.take()
-            num = self.peek()
-            if num.kind != "int":
-                raise ParseError("syntax error", num.pos, ("integer",))
-            self.take()
-            return -num.value
+            return -self.expect_int()
         if tok.kind == "int":
             self.take()
             return tok.value
@@ -139,17 +141,11 @@ class _Parser:
             if self.at_sym("-"):
                 self.take()
                 sign = -1
-            num = self.peek()
-            if num.kind != "int":
-                raise ParseError("syntax error", num.pos, ("integer",))
-            self.take()
+            num = self.expect_int()
             self.expect_sym("/")
-            den = self.peek()
-            if den.kind != "int":
-                raise ParseError("syntax error", den.pos, ("integer",))
-            self.take()
+            den = self.expect_int()
             self.expect_sym(")")
-            return Fraction(sign * num.value, den.value)
+            return Fraction(sign * num, den)
         raise ParseError("syntax error", tok.pos, ("integer exponent",))
 
     def parse_atom(self):
@@ -159,11 +155,7 @@ class _Parser:
             return ("int", tok.value)
         if tok.kind == "sym" and tok.value == "-":
             self.take()
-            num = self.peek()
-            if num.kind != "int":
-                raise ParseError("syntax error", num.pos, ("integer",))
-            self.take()
-            return ("int", -num.value)
+            return ("int", -self.expect_int())
         if tok.kind == "name":
             self.take()
             return ("name", tok.value, tok.pos)
@@ -301,7 +293,7 @@ def parse_ideal(text: str, instance: Semiring, dvs=None):
     stripped = text.strip()
     if stripped.startswith("ideal[") and stripped.endswith("]"):
         inner = stripped[len("ideal["):-1]
-        parts = _split_top_level(inner)
+        parts = split_top_level(inner)
         gens = [parse_element(part, instance) for part in parts if part.strip()]
         if not gens:
             raise ParseError("an ideal needs at least one generator",
@@ -317,19 +309,3 @@ def parse_ideal(text: str, instance: Semiring, dvs=None):
             raise ParseError("fuzzy[0,0) is empty, not an ideal", len("fuzzy[0,"))
         return IntervalIdeal(endpoint.payload, closed)
     raise ParseError("expected ideal[...] or fuzzy[0,...]", 0)
-
-
-def _split_top_level(s: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heappop, heappush
+from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
-from .extended import ExtendedValue
+from .extended import ExtendedValue, _raw_lt, _raw_min
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream
@@ -205,19 +206,20 @@ def _payload_rule(reduce_gens, oracle) -> _Rule:
 
 
 def _threshold(key, floor=None) -> _Rule:
-    """x is in (g1..gk) iff key(x) >= min key(gi).  A generator keyed below
-    the floor lies outside the carrier; one key per generator serves both."""
+    """x is in (g1..gk) iff key(x) >= min key(gi), keys ordered as raw
+    values (None is inf).  A generator keyed below the floor lies outside
+    the carrier; one key per generator serves both."""
     def reduce_gens(gens):
         keys = [key(g) for g in gens]
         if floor is not None:
             for g, k in zip(gens, keys):
-                if k < floor:
+                if _raw_lt(k, floor):
                     raise ValueError(f"{g} lies outside the carrier")
-        return (gens[keys.index(min(keys))],)
+        return (gens[keys.index(reduce(_raw_min, keys))],)
 
     def build(gens):
         least = key(gens[0])
-        return lambda x: key(x) >= least
+        return lambda x: not _raw_lt(key(x), least)
     return _Rule(reduce_gens, build)
 
 
@@ -226,7 +228,7 @@ _RULES = {
     "nat": _payload_rule(_nat_reduce, _nat_oracle),
     "ideals-z": _payload_rule(_gcd_reduce, _ideals_z_oracle),
     "bool-poly": _payload_rule(_dedupe, _bool_poly_oracle),
-    "tropical-nat": _threshold(lambda x: math.inf if x.payload is None else x.payload),
+    "tropical-nat": _threshold(lambda x: x.payload),
     "fuzzy": _threshold(lambda x: -x.payload),
 }
 _SEMIFIELD = _threshold(Element.is_zero)
@@ -325,15 +327,14 @@ def ideal_power(I: FinGenIdeal, n: int) -> FinGenIdeal:
     return result
 
 
-def ideal_subset(I: FinGenIdeal, J: FinGenIdeal,
-                 spec: SampleSpec | None = None) -> LawReport:
+def ideal_subset(I: FinGenIdeal, J: FinGenIdeal) -> LawReport:
     """Exact for finitely generated ideals: test I's generators in J."""
     _require_same(I, J)
     law = "ideal-subset"
     for g in I.generators:
         if not J.contains(g):
-            return law_counterexample(law, (g,), spec, f"{g} not in {J}")
-    return law_holds(law, spec)
+            return law_counterexample(law, (g,), detail=f"{g} not in {J}")
+    return law_holds(law)
 
 
 def ideals_comparable(I: FinGenIdeal, J: FinGenIdeal,
@@ -348,6 +349,17 @@ def ideals_comparable(I: FinGenIdeal, J: FinGenIdeal,
         return law_holds(law, spec, "second contained in first")
     return law_counterexample(law, fwd.witness + bwd.witness, spec,
                               "neither inclusion holds")
+
+
+def first_incomparable_pair(ideals, limit: int):
+    """Compare the pairs i < j of the ideals in order, at most limit of them;
+    return (i, j, report) for the first incomparable pair, or None."""
+    pairs = combinations(enumerate(ideals), 2)
+    for (i, I), (j, J) in islice(pairs, limit):
+        report = ideals_comparable(I, J)
+        if not report.holds:
+            return i, j, report
+    return None
 
 
 def ideal_equal(I: FinGenIdeal, J: FinGenIdeal) -> bool:
@@ -427,6 +439,11 @@ class IntervalIdeal:
     endpoint: Fraction
     closed: bool
 
+    def __post_init__(self):
+        if self.endpoint == 0 and not self.closed:
+            # [0,0) is empty, and an ideal contains 0
+            raise ValueError("fuzzy[0,0) is empty, not an ideal")
+
     @property
     def instance(self) -> Semiring:
         return get_instance("fuzzy")
@@ -455,6 +472,7 @@ def fuzzy_ideal_classify(description) -> IntervalIdeal:
 
     The union of downward-closed pieces is the piece with the largest
     (endpoint, closed) pair, so the supremum of the description decides.
+    Pieces that are all the empty [0,0) generate the zero ideal [0,0].
     """
     fuzzy = get_instance("fuzzy")
     pieces: list[tuple[Fraction, bool]] = []
@@ -468,7 +486,7 @@ def fuzzy_ideal_classify(description) -> IntervalIdeal:
     if not pieces:
         raise ValueError("empty ideal description")
     endpoint, closed = max(pieces)
-    return IntervalIdeal(endpoint, closed)
+    return IntervalIdeal(endpoint, closed or endpoint == 0)
 
 
 def interval_comparable(A: IntervalIdeal, B: IntervalIdeal) -> bool:

@@ -624,20 +624,21 @@ ALL_REGISTERED_IDS = BASE_INSTANCE_IDS + (
 )
 
 
-def _split_args(s: str) -> list[str]:
-    args, depth, cur = [], 0, []
+def split_top_level(s: str) -> list[str]:
+    """Split at the commas outside every bracket pair, ( ) or [ ]."""
+    parts, depth, cur = [], 0, []
     for ch in s:
-        if ch == "(":
+        if ch in "([":
             depth += 1
-        elif ch == ")":
+        elif ch in ")]":
             depth -= 1
         if ch == "," and depth == 0:
-            args.append("".join(cur))
+            parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
-    args.append("".join(cur))
-    return args
+    parts.append("".join(cur))
+    return parts
 
 
 def _build(sid: str) -> Semiring:
@@ -645,7 +646,7 @@ def _build(sid: str) -> Semiring:
         if not sid.endswith(")"):
             raise ValueError(f"malformed instance descriptor {sid!r}")
         name, inner = sid.split("(", 1)
-        args = _split_args(inner[:-1])
+        args = split_top_level(inner[:-1])
         if name == "poly" and len(args) == 1:
             return MonoidSemiring(get_instance(args[0]), "N0", "poly")
         if name == "laurent" and len(args) == 1:

@@ -24,9 +24,6 @@ class SampleSpec:
     count: int = 1000
     size_bound: int = 50
 
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "samples": self.count, "size_bound": self.size_bound}
-
 
 @dataclass(frozen=True)
 class LawReport:

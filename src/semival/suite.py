@@ -30,9 +30,10 @@ from .dvs import (
     intersection_probe,
     standard_dvs_structures,
 )
-from .extended import ExtendedValue
+from .extended import ExtendedValue, _raw_lt
 from .fracfield import embed_in_fractions, extend_valuation
 from .ideals import (
+    first_incomparable_pair,
     fuzzy_ideal_classify,
     ideal_power,
     ideal_product,
@@ -49,7 +50,6 @@ from .sampling import stream
 from .valuation import (
     REGISTERED_VALUATIONS,
     SEMIFIELD_SURJECTIVE,
-    _raw_lt,
     check_min_property,
     check_valuation_axioms,
     get_valuation,
@@ -219,15 +219,9 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
                                  nonzero=True)
     slices = [gens_pool[i: i + 3] for i in range(0, min(len(gens_pool), 90), 3)]
     ideals = [carrier_ideal(D, gens) for gens in slices]
-    count = 0
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if count >= 300:
-                break
-            count += 1
-            if not ideals_comparable(ideals[i], ideals[j]).holds:
-                problems.append(f"incomparable ideal pair #{i},{j}")
-                break
+    found = first_incomparable_pair(ideals, 300)
+    if found is not None:
+        problems.append(f"incomparable ideal pair #{found[0]},{found[1]}")
     # (b) every nonzero ideal is a uniformizer power, verified by inclusion;
     # the expected exponent comes from the raw generators, not the kept one
     for gens, I in zip(slices[:60], ideals):

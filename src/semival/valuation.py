@@ -19,7 +19,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .extended import DomainMismatchError, ExtendedValue
+from .extended import (
+    DomainMismatchError,
+    ExtendedValue,
+    Raw,
+    _nonnegative,
+    _raw_add,
+    _raw_lt,
+    _raw_min,
+)
 from .instances import MonoidSemiring, TropicalSemiring, get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream, stream
@@ -27,26 +35,6 @@ from .semiring import Element, Semiring
 
 # rule results lie in their domain by construction, so they skip validation
 _value = ExtendedValue._unchecked
-
-# A raw value is an int or a Fraction, or None for inf.
-Raw = int | Fraction | None
-
-
-def _raw_lt(a: Raw, b: Raw) -> bool:
-    return a is not None and (b is None or a < b)
-
-
-def _raw_min(a: Raw, b: Raw) -> Raw:
-    return b if a is None or (b is not None and b < a) else a
-
-
-def _raw_add(a: Raw, b: Raw) -> Raw:
-    return None if a is None or b is None else a + b
-
-
-def _nonnegative(r: Raw) -> bool:
-    return r is None or r >= 0
-
 
 @dataclass(frozen=True)
 class Valuation:
@@ -260,6 +248,21 @@ def _padic_exponent(n: int, p: int) -> int:
     return e
 
 
+def _padic_fraction(p: int) -> tuple[Callable, Callable]:
+    """The p-adic order of a fraction (None for inf) and the unit test of its
+    nonnegative part, both on a (numerator, denominator) pair."""
+    def order(pair) -> Raw:
+        num, den = pair
+        if num == 0:
+            return None
+        return _padic_exponent(num, p) - _padic_exponent(den, p)
+
+    def unit(pair) -> bool:
+        num, den = pair
+        return num != 0 and num % p != 0 and den % p != 0
+    return order, unit
+
+
 def _make_trivial(source: Semiring) -> Valuation:
     if not source.caps.entire:
         raise ValueError("the trivial valuation needs an entire source")
@@ -289,27 +292,17 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
                          unit_in_sv=lambda x: x.payload == 1,
                          element_with_value=lambda m: source.element(p ** m))
     if source.sid == "qnn":
-        def raw(q):
-            if q == 0:
-                return None
-            return _padic_exponent(q.numerator, p) - _padic_exponent(q.denominator, p)
-
-        def unit_in_sv(x):
-            q = x.payload
-            return q != 0 and q.numerator % p != 0 and q.denominator % p != 0
-
-        return Valuation(rule, source, "Z", True, raw, unit_in_sv=unit_in_sv,
+        order, unit = _padic_fraction(p)
+        return Valuation(rule, source, "Z", True,
+                         lambda q: order(q.as_integer_ratio()),
+                         unit_in_sv=lambda x: unit(x.payload.as_integer_ratio()),
                          element_with_value=lambda m: source.element(Fraction(p) ** m))
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
 
 
-def _make_low_order(source: Semiring) -> Valuation:
-    if not isinstance(source, MonoidSemiring):
-        raise ValueError("low-order needs a polynomial-style source")
-    if not source.base.caps.entire:
-        raise ValueError("low-order needs an entire coefficient base")
-    dom = source.exponents
-
+def _monomial_order(rule: str, source: MonoidSemiring, domain: str,
+                    raw: Callable) -> Valuation:
+    """A rule reading one end of a polynomial-style element's exponents."""
     def unit_in_sv(x):
         # inside the nonnegative part only exponent-zero monomials with unit
         # coefficients are invertible, whatever the ambient exponent monoid
@@ -319,8 +312,16 @@ def _make_low_order(source: Semiring) -> Valuation:
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
-    return Valuation("low-order", source, dom, True, source.low_order,
+    return Valuation(rule, source, domain, True, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
+
+
+def _make_low_order(source: Semiring) -> Valuation:
+    if not isinstance(source, MonoidSemiring):
+        raise ValueError("low-order needs a polynomial-style source")
+    if not source.base.caps.entire:
+        raise ValueError("low-order needs an entire coefficient base")
+    return _monomial_order("low-order", source, source.exponents, source.low_order)
 
 
 def _make_deg_high(source: Semiring) -> Valuation:
@@ -328,16 +329,7 @@ def _make_deg_high(source: Semiring) -> Valuation:
         raise ValueError("deg-high is defined on Laurent-style sources")
     if not (source.base.caps.entire and source.base.caps.zerosumfree):
         raise ValueError("deg-high needs an entire zerosumfree coefficient base")
-
-    def unit_in_sv(x):
-        p = x.payload
-        return len(p) == 1 and p[0][0] == 0 and source.base._is_unit(p[0][1])
-
-    def ewv(m):
-        return source.element(source.monomial_payload(m, source.base._one()))
-
-    return Valuation("deg-high", source, "Z", True, source.high_order,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+    return _monomial_order("deg-high", source, "Z", source.high_order)
 
 
 def _make_tropical_id(source: Semiring) -> Valuation:
@@ -384,23 +376,13 @@ def _make_vm_idz(p: int, source: Semiring) -> Valuation:
         raise ValueError("vm-idz is defined on fractions(ideals-z)")
     if not _is_prime(p):
         raise ValueError(f"vm-idz parameter must be prime, got {p}")
-    rule = f"vm-idz:{p}"
-
-    def raw(q):
-        num, den = q
-        if num == 0:
-            return None
-        return _padic_exponent(num, p) - _padic_exponent(den, p)
-
-    def unit_in_sv(x):
-        num, den = x.payload
-        return num != 0 and num % p != 0 and den % p != 0
+    order, unit = _padic_fraction(p)
 
     def ewv(m):
         return source.element((p ** max(m, 0), p ** max(-m, 0)))
 
-    return Valuation(rule, source, "Z", True, raw,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+    return Valuation(f"vm-idz:{p}", source, "Z", True, order,
+                     unit_in_sv=lambda x: unit(x.payload), element_with_value=ewv)
 
 
 def get_valuation(rule: str, source: Semiring) -> Valuation:

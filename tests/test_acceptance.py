@@ -28,10 +28,13 @@ from math import prod
 
 import pytest
 
-from semival import suite
+from semival import ideals, suite
 from semival.dvs import DVSStructure, standard_dvs_structures
 from semival.grammar import parse_content_polynomial
 from semival.instances import get_instance
+from semival.reports import law_counterexample
+
+_ideal_subset = ideals.ideal_subset
 
 
 def _run(criterion):
@@ -75,6 +78,20 @@ def _unit_times_two(D, p):
     return unit * 2, n
 
 
+class _FirstComparisonRefused:
+    """ideal_subset refusing its first two calls, the two inclusions of the
+    first ideal pair compared, and answering truly afterwards."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, I, J):
+        self.calls += 1
+        if self.calls <= 2:
+            return law_counterexample("ideal-subset", I.generators)
+        return _ideal_subset(I, J)
+
+
 @pytest.mark.parametrize("name,broken,problem", [
     # the unit is x itself, whose value is n
     ("normal_form_payload", lambda D, p: (p, D.valuation.payload_fn(p)),
@@ -84,9 +101,11 @@ def _unit_times_two(D, p):
      "a != qb + r"),
     # a = 0*b + a always holds, but v(a) is not always below v(b)
     ("divide_payloads", lambda D, a, b: (D.ambient._zero(), a), "remainder too large"),
+    ("ideal_subset", _FirstComparisonRefused(), "incomparable ideal pair #0,1"),
 ])
 def test_criterion_06_reports_each_broken_operation(monkeypatch, name, broken, problem):
-    monkeypatch.setattr(DVSStructure, name, broken)
+    # the payload helpers live on the structure, the inclusion test in ideals
+    monkeypatch.setattr(ideals if name == "ideal_subset" else DVSStructure, name, broken)
     problems = suite._dvs_battery(standard_dvs_structures()[0])
     assert len(problems) == 1 and problem in problems[0], problems
 

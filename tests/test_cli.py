@@ -102,6 +102,17 @@ def test_check_total_order(capsys):
     code, out, _ = run(capsys, "check", "--semiring", "bool-poly",
                        "--property", "total-order", "--samples", "100")
     assert code == 1
+    assert out.startswith("ideals-total-order[bool-poly]: counterexample (between ")
+    code, out, _ = run(capsys, "check", "--semiring", "nat",
+                       "--property", "total-order", "--samples", "100")
+    assert code == 1
+    assert out == ("ideals-total-order[nat]: counterexample (between ideal[3, 5] "
+                   "and ideal[2, 11]) witness 3, 2 [seed=1 samples=100 size=50]\n")
+    code, out, _ = run(capsys, "check", "--semiring", "nat", "--property",
+                       "total-order", "--samples", "100", "--output", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["witness"]) == ("counterexample", ["3", "2"])
 
 
 def test_factor_and_divmod(capsys):

@@ -77,6 +77,20 @@ def test_parse_errors_carry_position():
         parse_element("1/2", get_instance("nat"))
 
 
+@pytest.mark.parametrize("text,pos,expected", [
+    ("X^-", 3, ("integer",)),
+    ("X^(1/)", 5, ("integer",)),
+    ("X^(-/2)", 4, ("integer",)),
+    ("-", 1, ("integer",)),
+    ("X^(1/2", 6, ("')'",)),
+    ("X^", 2, ("integer exponent",)),
+])
+def test_malformed_literals_and_exponents(text, pos, expected):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, get_instance("monoid(nat,Q)"))
+    assert (err.value.pos, err.value.expected) == (pos, expected)
+
+
 def test_division_requires_capability():
     with pytest.raises(ValueError):
         parse_element("(1+2)/(1+1)", get_instance("fuzzy"))

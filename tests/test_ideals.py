@@ -313,9 +313,21 @@ def test_fuzzy_generated_ideal_membership_matches_interval():
     assert is_subtractive_bounded(I, SPEC).holds
 
 
+def test_empty_pieces_generate_the_zero_interval():
+    fuzzy = get_instance("fuzzy")
+    zero = fuzzy_ideal_classify([(0, False)])
+    assert zero == IntervalIdeal(Fraction(0), True) and zero.contains(fuzzy.zero)
+    with pytest.raises(ValueError, match=r"^fuzzy\[0,0\) is empty, not an ideal$"):
+        IntervalIdeal(Fraction(0), False)
+    half = fuzzy_ideal_classify([(0, False), (Fraction(1, 2), False)])
+    assert half == IntervalIdeal(Fraction(1, 2), False)
+    assert str(half) == "fuzzy[0,1/2)"
+
+
 def test_interval_ideals_totally_ordered():
+    # [0,0) is no ideal, so it is no candidate
     candidates = [IntervalIdeal(Fraction(n, 6), closed)
-                  for n in range(7) for closed in (False, True)]
+                  for n in range(7) for closed in (False, True) if n or closed]
     for A in candidates:
         for B in candidates:
             assert interval_comparable(A, B)

@@ -109,16 +109,23 @@ def test_fraction_rules_are_well_defined_on_equivalence_classes():
 
 
 def test_rule_source_validation():
-    with pytest.raises(ValueError):
-        get_valuation("vp:4", get_instance("nat"))  # 4 is not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vp parameter must be prime, got 4$"):
+        get_valuation("vp:4", get_instance("nat"))
+    with pytest.raises(ValueError, match=r"^vp:5 is defined on nat and qnn, not fuzzy$"):
         get_valuation("vp:5", get_instance("fuzzy"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^vp:5 is defined on nat and qnn, "
+                                         r"not fractions\(ideals-z\)$"):
+        get_valuation("vp:5", get_instance("fractions(ideals-z)"))
+    with pytest.raises(ValueError, match=r"^vm-idz parameter must be prime, got 4$"):
+        get_valuation("vm-idz:4", get_instance("fractions(ideals-z)"))
+    with pytest.raises(ValueError, match=r"^deg-frac is defined on fractions\(poly\(nat\)\)$"):
         get_valuation("deg-frac", get_instance("fractions(nat)"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown valuation rule 'no-such-rule'$"):
         get_valuation("no-such-rule", get_instance("nat"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^deg-high is defined on Laurent-style sources$"):
         get_valuation("deg-high", get_instance("poly(nat)"))  # needs Z exponents
+    with pytest.raises(ValueError, match=r"^low-order needs a polynomial-style source$"):
+        get_valuation("low-order", get_instance("nat"))
 
 
 @pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
