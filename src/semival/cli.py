@@ -46,6 +46,7 @@ from .valuation import (
     check_valuation_axioms,
     get_valuation,
     units_vs_zeroset,
+    valuate,
 )
 
 
@@ -53,8 +54,8 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(sub, semiring_required=True):
-    sub.add_argument("--semiring", required=semiring_required,
+def _add_common(sub):
+    sub.add_argument("--semiring", required=True,
                      help="instance descriptor, e.g. nat, qnn, fractions(poly(nat))")
     sub.add_argument("--valuation", default=None,
                      help="rule id, e.g. trivial, vp:5, low-order, deg-frac")
@@ -144,15 +145,14 @@ def _min_property(args, instance, valuation, spec: SampleSpec) -> LawReport:
 def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport:
     law = f"ideals-total-order[{instance.sid}]"
     dvs = None
+    pool_spec = SampleSpec(spec.seed, 90, min(spec.size_bound, 12))
     if args.valuation:
         dvs = dvs_structure(args.valuation, instance)
-        pool = dvs.sample_carrier(SampleSpec(spec.seed, 90, min(spec.size_bound, 12)),
-                                  salt="cli-ideals", nonzero=True)
+        pool = dvs.sample_carrier(pool_spec, salt="cli-ideals", nonzero=True)
         inst = dvs.ambient
     else:
-        pool = [x for x in stream(instance,
-                                  SampleSpec(spec.seed, 90, min(spec.size_bound, 12)),
-                                  salt="cli-ideals") if not x.is_zero()]
+        pool = [x for x in stream(instance, pool_spec, salt="cli-ideals")
+                if not x.is_zero()]
         inst = instance
     ideals = [make_ideal(inst, pool[i: i + 2], dvs=dvs)
               for i in range(0, len(pool) - 1, 2)]
@@ -259,7 +259,7 @@ def _calculate(args) -> tuple[str, str]:
         if not args.valuation:
             raise UsageError("valuate needs --valuation")
         v = get_valuation(args.valuation, instance)
-        value = str(v(parse_element(args.element, instance)))
+        value = str(valuate(v, parse_element(args.element, instance)))
         return value, value
     D = _need_dvs(args)
     if args.command == "factor":

@@ -144,7 +144,7 @@ def gaussian_defect(f: ContentPolynomial, g: ContentPolynomial,
     return law_holds(law)
 
 
-def sample_content_polys(carrier, spec: SampleSpec, salt: str = "",
+def sample_content_polys(carrier, spec: SampleSpec,
                          max_degree: int = 4) -> list[ContentPolynomial]:
     """Deterministic content polynomials: small combinations of the
     coefficient preamble first, then random coefficient lists."""
@@ -156,7 +156,7 @@ def sample_content_polys(carrier, spec: SampleSpec, salt: str = "",
         else spec.size_bound
     coeffs = stream(instance, SampleSpec(spec.seed, max(spec.count * 3, 64),
                                          bound),
-                    salt=salt + "content", keep=keep)
+                    salt="content", keep=keep)
     pre = [c for c in (coeffs[:8] if coeffs else []) if not c.is_zero()][:3]
     polys: list[ContentPolynomial] = [ContentPolynomial(instance, ())]
     for c in pre:
@@ -164,7 +164,7 @@ def sample_content_polys(carrier, spec: SampleSpec, salt: str = "",
     for c0, c1 in product(pre, pre):
         polys.append(make_content_poly(instance, [c0, c1]))
     idx = 0
-    rng = random.Random(f"{spec.seed}:{instance.sid}:{salt}degrees")
+    rng = random.Random(f"{spec.seed}:{instance.sid}:degrees")
     while len(polys) < spec.count and idx + max_degree < len(coeffs):
         deg = _randint(rng, 0, max_degree)
         polys.append(make_content_poly(instance, coeffs[idx: idx + deg + 1]))

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .extended import ExtendedValue, _nonnegative, _raw_lt
-from .ideals import FinGenIdeal, _threshold, ideal_subset, make_ideal, principal
+from .ideals import FinGenIdeal, _threshold, ideal_equal, make_ideal, principal
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
@@ -31,7 +30,7 @@ class DVSStructure:
 
     The carrier is the set of ambient elements with nonnegative value.  The
     valuation supplies the uniformizer, its element of value exactly 1, and
-    ``unit_test``, its closed-form unit predicate for the carrier, which
+    ``unit_in_sv``, its closed-form unit predicate for the carrier, which
     never consults the value.
 
     Each structure fills three caches lazily, and none changes an answer:
@@ -48,17 +47,13 @@ class DVSStructure:
         object.__setattr__(self, "uniformizer", v.element_with_value(1))
         if v.domain != "Z":
             raise ValueError("a discrete structure needs integer values")
-        if not v.source.caps.semifield or not v.surjective:
+        if not v.source.caps.semifield:
             raise ValueError("the ambient instance must be a semifield with a "
                              "surjective valuation")
         if valuate(v, self.uniformizer) != ExtendedValue.fin("Z", 1):
             raise ValueError("the uniformizer must have value 1")
-        if self.unit_test(self.uniformizer):
+        if v.unit_in_sv(self.uniformizer):
             raise ValueError("the uniformizer cannot be a unit")
-
-    @property
-    def unit_test(self) -> Callable[[Element], bool]:
-        return self.valuation.unit_in_sv
 
     @property
     def ambient(self) -> Semiring:
@@ -131,10 +126,7 @@ class DVSStructure:
 
 
 def dvs_structure(rule: str, source: Semiring, name: str | None = None) -> DVSStructure:
-    v = get_valuation(rule, source)
-    if v.element_with_value is None or v.unit_in_sv is None:
-        raise ValueError(f"{rule} does not support a discrete structure")
-    return DVSStructure(name or f"{source.sid}@{rule}", v)
+    return DVSStructure(name or f"{source.sid}@{rule}", get_valuation(rule, source))
 
 
 def standard_dvs_structures() -> list[DVSStructure]:
@@ -171,7 +163,7 @@ def dvs_ideal_of(D: DVSStructure, I: FinGenIdeal) -> int:
     (g,) = I.generators
     n = D.valuation.payload_fn(g.payload)
     power = D.power_ideal(n)
-    if not (ideal_subset(I, power).holds and ideal_subset(power, I).holds):
+    if not ideal_equal(I, power):
         raise AssertionError(f"normalisation of {I} failed at n={n}")
     return n
 
@@ -261,7 +253,7 @@ def ascending_chain_probe(D: DVSStructure, x: Element, bound: int) -> LawReport:
     amb = D.ambient
     current = x
     for step in range(bound + 1):
-        if D.unit_test(current):
+        if D.valuation.unit_in_sv(current):
             return law_holds(law, detail=f"stabilises after {step} steps")
         nxt = amb.div(current, D.uniformizer)
         if not D.contains(nxt):
@@ -277,7 +269,7 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
     """The valuation recovered from the unit classes of the carrier: x maps
     to the unique n with x * t^-n a carrier unit, found by the closed-form
     unit test rather than by reading the defining valuation."""
-    amb = D.ambient
+    amb, unit = D.ambient, D.valuation.unit_in_sv
     zero = amb._zero()
 
     def raw(p):
@@ -285,12 +277,12 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
             return None
         for n in range(_VALUE_SEARCH_LIMIT):
             for cand in ((n, -n) if n else (0,)):
-                if D.unit_test(Element(amb, amb._mul(p, D.power_payload(-cand)))):
+                if unit(Element(amb, amb._mul(p, D.power_payload(-cand)))):
                     return cand
         raise ValueError(f"no unit class found for {amb._text(p)}")
 
-    return Valuation(f"value-group({D.name})", amb, "Z", True, raw,
-                     unit_in_sv=D.unit_test,
+    return Valuation(f"value-group({D.name})", amb, "Z", raw,
+                     unit_in_sv=unit,
                      element_with_value=D.valuation.element_with_value)
 
 

@@ -40,10 +40,6 @@ class DifferencePair:
     def __lt__(self, other):
         return self.pos + other.neg < self.neg + other.pos
 
-    def normalize(self):
-        """The plain difference, for monoids already embedded in Z or Q."""
-        return self.pos - self.neg
-
     def __str__(self):
         return f"({self.pos} - {self.neg})"
 
@@ -128,12 +124,10 @@ def extend_valuation(v: Valuation) -> Valuation:
             return False
         return base_raw(num_p) == base_raw(den_p)
 
-    ewv = None
-    if v.element_with_value is not None:
-        def ewv(g):
-            num = v.element_with_value(g if g >= 0 else 0)
-            den = v.element_with_value(-g if g < 0 else 0)
-            return Element(frs, frs._canon((num.payload, den.payload)))
+    def ewv(g):
+        num = v.element_with_value(g if g >= 0 else 0)
+        den = v.element_with_value(-g if g < 0 else 0)
+        return Element(frs, frs._canon((num.payload, den.payload)))
 
-    return Valuation(f"ext({v.rule})", frs, dom, v.surjective, raw,
+    return Valuation(f"ext({v.rule})", frs, dom, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)

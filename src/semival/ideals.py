@@ -38,12 +38,12 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
-from .extended import ExtendedValue, _raw_lt, _raw_min
+from .extended import _raw_lt, _raw_min
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
-from .valuation import Valuation, in_valuation_semiring, level_membership
+from .valuation import Valuation, in_positive_ideal, in_valuation_semiring
 
 _APERY_BUDGET = 150_000
 
@@ -399,34 +399,29 @@ def is_prime_bounded(ideal, spec: SampleSpec) -> LawReport:
 
 @dataclass(frozen=True)
 class LevelIdeal:
-    """The ideal of the nonnegative subsemiring cut out by value > alpha
-    (or >= alpha when not strict)."""
+    """The positive ideal {v > 0} of the nonnegative subsemiring."""
 
     valuation: Valuation
-    alpha: ExtendedValue
-    strict: bool = True
 
     @property
     def instance(self) -> Semiring:
         return self.valuation.source
 
     def contains(self, x: Element) -> bool:
-        return level_membership(self.valuation, x, self.alpha,
-                                strict=self.strict, within_sv=True)
+        return in_positive_ideal(self.valuation, x)
 
     def domain_filter(self):
         v = self.valuation
         return lambda x: in_valuation_semiring(v, x)
 
     def __str__(self) -> str:
-        cmp = ">" if self.strict else ">="
-        return f"{{v {cmp} {self.alpha}}} of {self.valuation.rule}"
+        return f"{{v > 0}} of {self.valuation.rule}"
 
 
 def positive_ideal(v: Valuation) -> LevelIdeal:
     """The prime ideal of strictly positive values inside the nonnegative
     subsemiring."""
-    return LevelIdeal(v, v.zero_value, strict=True)
+    return LevelIdeal(v)
 
 
 # -- interval ideals of the fuzzy instance ---------------------------------------
@@ -440,6 +435,8 @@ class IntervalIdeal:
     closed: bool
 
     def __post_init__(self):
+        # the fuzzy instance refuses an endpoint outside [0,1]
+        object.__setattr__(self, "endpoint", self.instance._canon(self.endpoint))
         if self.endpoint == 0 and not self.closed:
             # [0,0) is empty, and an ideal contains 0
             raise ValueError("fuzzy[0,0) is empty, not an ideal")

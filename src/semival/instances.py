@@ -574,14 +574,6 @@ class FractionSemiring(Semiring):
         self.base._claim(den)
         return Element(self, self._canon((num.payload, den.payload)))
 
-    def numerator(self, a: Element) -> Element:
-        self._claim(a)
-        return Element(self.base, a.payload[0])
-
-    def denominator(self, a: Element) -> Element:
-        self._claim(a)
-        return Element(self.base, a.payload[1])
-
     def _text(self, p):
         return f"({self.base._text(p[0])})/({self.base._text(p[1])})"
 

@@ -20,9 +20,9 @@ class SampleSpec:
     Identical specs yield identical streams per instance.
     """
 
-    seed: int = 1
-    count: int = 1000
-    size_bound: int = 50
+    seed: int
+    count: int
+    size_bound: int
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,8 @@ def pair_stream(instance: Semiring, spec: SampleSpec,
 
 
 def triple_stream(instance: Semiring, spec: SampleSpec,
-                  keep: Callable[[Element], bool] | None = None,
                   salt: str = "") -> Iterator[tuple[Element, Element, Element]]:
-    return _tuple_stream(instance, spec, ("tri-a", "tri-b", "tri-c"), keep, salt)
+    return _tuple_stream(instance, spec, ("tri-a", "tri-b", "tri-c"), None, salt)
 
 
 def nonzero_stream(instance: Semiring, spec: SampleSpec,

@@ -58,10 +58,6 @@ class Element:
             return False
         return self.semiring._eq(self.payload, other.payload)
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     # Equality of fractions over gcd-free bases is cross multiplication, for
     # which no structural hash exists; elements are therefore unhashable.
     __hash__ = None

@@ -4,8 +4,8 @@ value domain, together with their law checkers and level sets.
 A valuation sends products to sums, sums to at least the minimum value,
 the multiplicative identity to 0 and zero to inf.  Each registered rule is
 total on its source carrier and comes with a closed-form unit test for the
-nonnegative subsemiring (never a search) plus, for surjective rules, a
-constructor producing an element of any prescribed value.
+nonnegative subsemiring (never a search) plus a constructor producing an
+element of any prescribed value.
 
 A rule is defined once, on payloads: it returns a raw value, an int or a
 Fraction, or None for inf.  ``valuate`` lifts it to elements and extended
@@ -47,13 +47,11 @@ class Valuation:
     rule: str
     source: Semiring
     domain: str
-    surjective: bool
     payload_fn: Callable[[object], Raw] = field(repr=False, compare=False)
     # closed-form test for "unit of the nonnegative subsemiring"
-    unit_in_sv: Callable[[Element], bool] | None = field(
-        default=None, repr=False, compare=False)
-    # for surjective rules: an element of the prescribed finite value
-    element_with_value: Callable = field(default=None, repr=False, compare=False)
+    unit_in_sv: Callable[[Element], bool] = field(repr=False, compare=False)
+    # an element of the prescribed finite value
+    element_with_value: Callable = field(repr=False, compare=False)
     fn: Callable[[Element], ExtendedValue] = field(
         default=None, repr=False, compare=False)
 
@@ -61,9 +59,6 @@ class Valuation:
         if self.fn is None:
             domain, raw = self.domain, self.payload_fn
             object.__setattr__(self, "fn", lambda x: _value(domain, raw(x.payload)))
-
-    def __call__(self, x: Element) -> ExtendedValue:
-        return valuate(self, x)
 
     @cached_property
     def zero_value(self) -> ExtendedValue:
@@ -119,20 +114,16 @@ def in_positive_ideal(v: Valuation, x: Element) -> bool:
     return r is None or r > 0
 
 
-def level_membership(v: Valuation, x: Element, alpha: ExtendedValue,
-                     strict: bool = False, within_sv: bool = False) -> bool:
-    """Membership in the level set at alpha: value > alpha when strict,
-    value >= alpha otherwise; within_sv additionally requires value >= 0."""
+def level_membership(v: Valuation, x: Element, alpha: ExtendedValue) -> bool:
+    """Membership in the level set {v >= alpha} of the nonnegative
+    subsemiring."""
     if alpha.is_inf:
         raise ValueError("level sets are indexed by finite values")
     if alpha.domain != v.domain:
         raise DomainMismatchError(
             f"domains differ: {alpha.domain!r} vs {v.domain!r}")
     r = _raw_of(v, x)
-    if r is None:
-        return True
-    return (r > alpha.value if strict else r >= alpha.value) and (
-        not within_sv or r >= 0)
+    return r is None or r >= max(alpha.value, 0)
 
 
 def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
@@ -175,8 +166,6 @@ def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
     """Compare, over sampled elements of the nonnegative subsemiring, the
     closed-form unit test against the predicate v(x) = 0."""
     law = f"units-zeroset[{v.rule}@{v.source.sid}]"
-    if v.unit_in_sv is None:
-        raise ValueError(f"{v.rule}: no unit test for the nonnegative part")
     raw, values = v.payload_fn, []
 
     def keep(x: Element) -> bool:
@@ -276,7 +265,7 @@ def _make_trivial(source: Semiring) -> Valuation:
             raise ValueError("trivial domain only contains 0")
         return source.one
 
-    return Valuation("trivial", source, "trivial", True, raw,
+    return Valuation("trivial", source, "trivial", raw,
                      unit_in_sv=source.is_unit, element_with_value=ewv)
 
 
@@ -288,13 +277,12 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
         def raw(n):
             return None if n == 0 else _padic_exponent(n, p)
 
-        return Valuation(rule, source, "N0", True, raw,
+        return Valuation(rule, source, "N0", raw,
                          unit_in_sv=lambda x: x.payload == 1,
                          element_with_value=lambda m: source.element(p ** m))
     if source.sid == "qnn":
         order, unit = _padic_fraction(p)
-        return Valuation(rule, source, "Z", True,
-                         lambda q: order(q.as_integer_ratio()),
+        return Valuation(rule, source, "Z", lambda q: order(q.as_integer_ratio()),
                          unit_in_sv=lambda x: unit(x.payload.as_integer_ratio()),
                          element_with_value=lambda m: source.element(Fraction(p) ** m))
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
@@ -312,7 +300,7 @@ def _monomial_order(rule: str, source: MonoidSemiring, domain: str,
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
-    return Valuation(rule, source, domain, True, raw,
+    return Valuation(rule, source, domain, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -338,7 +326,7 @@ def _make_tropical_id(source: Semiring) -> Valuation:
     dom = "Z" if source.values == "int" else "N0"
 
     # the payload is the value itself, None standing for inf
-    return Valuation("tropical-id", source, dom, True, lambda p: p,
+    return Valuation("tropical-id", source, dom, lambda p: p,
                      unit_in_sv=lambda x: x.payload == 0,
                      element_with_value=lambda m: source.element(m))
 
@@ -366,7 +354,7 @@ def _make_deg_frac(source: Semiring) -> Valuation:
         d_pow = poly.monomial_payload(max(-m, 0), poly.base._one())
         return source.element((x_pow, d_pow))
 
-    return Valuation("deg-frac", source, "Z", True, raw,
+    return Valuation("deg-frac", source, "Z", raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -381,7 +369,7 @@ def _make_vm_idz(p: int, source: Semiring) -> Valuation:
     def ewv(m):
         return source.element((p ** max(m, 0), p ** max(-m, 0)))
 
-    return Valuation(f"vm-idz:{p}", source, "Z", True, order,
+    return Valuation(f"vm-idz:{p}", source, "Z", order,
                      unit_in_sv=lambda x: unit(x.payload), element_with_value=ewv)
 
 
@@ -415,16 +403,6 @@ REGISTERED_VALUATIONS: tuple[tuple[str, str], ...] = (
     ("low-order", "monoid(nat,N0)"),
     ("deg-high", "laurent(nat)"),
     ("tropical-id", "tropical-nat"),
-    ("tropical-id", "tropical-int"),
-    ("deg-frac", "fractions(poly(nat))"),
-    ("vm-idz:5", "fractions(ideals-z)"),
-)
-
-# The surjective rules whose source is a semifield; for these the
-# min-property is equivalent to subtractivity of the positive ideal.
-SEMIFIELD_SURJECTIVE: tuple[tuple[str, str], ...] = (
-    ("trivial", "qnn"),
-    ("vp:5", "qnn"),
     ("tropical-id", "tropical-int"),
     ("deg-frac", "fractions(poly(nat))"),
     ("vm-idz:5", "fractions(ideals-z)"),

@@ -63,7 +63,7 @@ def test_normal_form_round_trip_everywhere():
             unit, n = dvs_normal_form(D, x)
             assert valuate(D.valuation, unit) == fin("Z", 0)
             assert amb.eq(amb.mul(unit, amb.power(D.uniformizer, n)), x)
-            assert D.unit_test(unit)
+            assert D.valuation.unit_in_sv(unit)
 
 
 def test_irreducibles_are_uniformizer_associates():
@@ -73,7 +73,7 @@ def test_irreducibles_are_uniformizer_associates():
             if valuate(D.valuation, x) != fin("Z", 1):
                 continue
             unit, n = dvs_normal_form(D, x)
-            assert n == 1 and D.unit_test(unit)
+            assert n == 1 and D.valuation.unit_in_sv(unit)
 
 
 def test_dvs_ideal_of(qnn5):

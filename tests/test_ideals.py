@@ -31,7 +31,7 @@ from semival.instances import get_instance
 from semival.reports import SampleSpec
 from semival.sampling import stream
 from semival.semiring import UnsupportedOperationError
-from semival.valuation import get_valuation
+from semival.valuation import get_valuation, valuate
 
 SPEC = SampleSpec(1, 500, 20)
 
@@ -271,6 +271,17 @@ def test_positive_ideal_is_prime_for_registered_rules():
         assert report.holds, f"{rule}@{sid}: {report}"
 
 
+def test_positive_ideal_holds_the_positive_values():
+    for rule, sid in (("vp:5", "qnn"), ("trivial", "qnn"),
+                      ("deg-frac", "fractions(poly(nat))")):
+        inst = get_instance(sid)
+        v = get_valuation(rule, inst)
+        P = positive_ideal(v)
+        assert str(P) == f"{{v > 0}} of {rule}"
+        for x in stream(inst, SPEC, salt="positive"):
+            assert P.contains(x) == (valuate(v, x) > v.zero_value), (rule, str(x))
+
+
 def test_positive_ideal_subtractive_matches_min_property_sign():
     qnn = get_instance("qnn")
     v = get_valuation("vp:5", qnn)
@@ -322,6 +333,18 @@ def test_empty_pieces_generate_the_zero_interval():
     half = fuzzy_ideal_classify([(0, False), (Fraction(1, 2), False)])
     assert half == IntervalIdeal(Fraction(1, 2), False)
     assert str(half) == "fuzzy[0,1/2)"
+
+
+def test_interval_endpoints_lie_in_the_unit_interval():
+    for endpoint in (Fraction(-1, 2), Fraction(3)):
+        for closed in (False, True):
+            with pytest.raises(ValueError, match=r"rational in \[0,1\]"):
+                IntervalIdeal(endpoint, closed)
+    fuzzy = get_instance("fuzzy")
+    for endpoint in (Fraction(1, 2), Fraction(1)):
+        for closed in (False, True):
+            assert IntervalIdeal(endpoint, closed).contains(fuzzy.zero)
+    assert str(IntervalIdeal(Fraction(0), True)) == "fuzzy[0,0]"
 
 
 def test_interval_ideals_totally_ordered():

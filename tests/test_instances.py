@@ -140,6 +140,23 @@ def test_fraction_cross_multiplication_equality():
         fpn.fraction(x, poly.zero)
 
 
+def test_element_inequality_inverts_equality():
+    nat, qnn = get_instance("nat"), get_instance("qnn")
+    assert nat.element(2) != nat.element(3)
+    assert not nat.element(2) != nat.element(2)
+    # unequal payloads, equal by cross multiplication
+    fpn = get_instance("fractions(poly(nat))")
+    poly = fpn.base
+    x = poly.indeterminate()
+    a, b = fpn.fraction(poly.mul(x, x), x), fpn.fraction(x, poly.one)
+    assert a.payload != b.payload
+    assert not a != b
+    assert fpn.fraction(x, x) != b
+    # elements of two instances, and an element and a plain number
+    assert nat.element(1) != qnn.element(1)
+    assert nat.element(1) != 1 and 1 != nat.element(1)
+
+
 def test_instance_mismatch_raises():
     nat, qnn = get_instance("nat"), get_instance("qnn")
     with pytest.raises(InstanceMismatchError):

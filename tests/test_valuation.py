@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from semival.dvs import standard_dvs_structures, value_group_valuation
-from semival.extended import ExtendedValue, _check_scalar
+from semival.extended import DomainMismatchError, ExtendedValue, _check_scalar
 from semival.fracfield import extend_valuation
 from semival.instances import get_instance
 from semival.reports import SampleSpec
@@ -205,17 +205,26 @@ def test_deg_frac_min_property_witness_is_one_and_x():
 def test_level_membership():
     nat = get_instance("nat")
     v = get_valuation("vp:5", nat)
-    zero = fin("N0", 0)
-    # 2 has value 0, so it sits in the weak level set at v(2) inside the carrier
-    assert level_membership(v, nat.element(2), zero, strict=False, within_sv=True)
-    assert not level_membership(v, nat.element(2), zero, strict=True)
+    # 2 has value 0: in the level set at 0, not in the one at 1
+    assert level_membership(v, nat.element(2), fin("N0", 0))
+    assert not level_membership(v, nat.element(2), fin("N0", 1))
+    assert level_membership(v, nat.element(50), fin("N0", 2))
     # zero has value inf and lies in every level set
-    assert level_membership(v, nat.zero, fin("N0", 7), strict=True)
+    assert level_membership(v, nat.zero, fin("N0", 7))
     frs = get_instance("fractions(poly(nat))")
     vd = get_valuation("deg-frac", frs)
-    assert level_membership(vd, frs.indeterminate(), fin("Z", 0), strict=True)
-    with pytest.raises(ValueError):
+    x = frs.indeterminate()
+    assert level_membership(vd, x, fin("Z", 0))
+    # below 0 the level set is S_v itself: 1/X has value -1 >= -1 but lies
+    # outside S_v, while 1 and X lie inside
+    minus_one = fin("Z", -1)
+    assert not level_membership(vd, frs.inv(x), minus_one)
+    assert level_membership(vd, frs.one, minus_one)
+    assert level_membership(vd, x, minus_one)
+    with pytest.raises(ValueError, match="finite values"):
         level_membership(v, nat.element(2), ExtendedValue.inf("N0"))
+    with pytest.raises(DomainMismatchError):
+        level_membership(v, nat.element(2), fin("Z", 0))
 
 
 @pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
@@ -310,20 +319,15 @@ def test_level_chain_inclusions():
     for alpha, beta in ((0, 2), (1, 3), (0, 1)):
         a, b = fin("Z", alpha), fin("Z", beta)
         for x in elems:
-            if level_membership(v, x, b, strict=True, within_sv=True):
-                assert level_membership(v, x, b, strict=False, within_sv=True)
-            if level_membership(v, x, b, strict=False, within_sv=True):
-                assert level_membership(v, x, a, strict=True, within_sv=True)
-            if level_membership(v, x, a, strict=True, within_sv=True):
-                assert level_membership(v, x, a, strict=False, within_sv=True)
+            assert level_membership(v, x, b) == (valuate(v, x) >= b)
+            if level_membership(v, x, b):
+                assert level_membership(v, x, a)
         # strictness witnesses exist by surjectivity
-        assert level_membership(v, v.element_with_value(beta), b, strict=False,
-                                within_sv=True)
-        assert not level_membership(v, v.element_with_value(beta), b, strict=True)
-        if beta > alpha + 1:
-            mid = v.element_with_value(alpha + 1)
-            assert level_membership(v, mid, a, strict=True, within_sv=True)
-            assert not level_membership(v, mid, b, strict=False)
+        for gamma in range(alpha, beta):
+            below = v.element_with_value(gamma)
+            assert level_membership(v, below, a)
+            assert not level_membership(v, below, b)
+        assert level_membership(v, v.element_with_value(beta), b)
 
 
 def _trial_division_prime(p: int) -> bool:
@@ -442,8 +446,15 @@ def test_axioms_refute_a_finite_sum_of_two_infinite_values():
     # inf on the multiples of 2 or 3: products stay consistent and v(1) = 0,
     # but v(2 + 3) = 0 lies below min(inf, inf)
     nat = get_instance("nat")
-    v = Valuation("inf-on-2-or-3", nat, "N0", True,
-                  lambda n: None if n % 2 == 0 or n % 3 == 0 else 0)
+
+    def ewv(m):
+        if m != 0:
+            raise ValueError("0 is the only finite value")
+        return nat.one
+
+    v = Valuation("inf-on-2-or-3", nat, "N0",
+                  lambda n: None if n % 2 == 0 or n % 3 == 0 else 0,
+                  unit_in_sv=nat.is_unit, element_with_value=ewv)
     report = check_valuation_axioms(v, SPEC)
     assert not report.holds
     assert report.detail == "v(x+y) < min"
