@@ -6,8 +6,9 @@ the content-multiplicative carriers and the degree-difference one.
 Usage: python scripts/dvs_tour.py
 """
 
-from semival.content import content, cp_mul, gaussian_check, make_content_poly
+from semival.content import content, cp_mul, gaussian_check
 from semival.dvs import (
+    dvs_ideal_of,
     dvs_normal_form,
     euclidean_divide,
     intersection_probe,
@@ -38,8 +39,9 @@ def main() -> None:
         if not gauss.holds:
             f, g = gauss.witness[0], gauss.witness[1]
             print(f"   failing pair: f = {f}   g = {g}")
-            print(f"   c(f)c(g) has value {min(valuate(D.valuation, c).value for c in f.coeffs) + min(valuate(D.valuation, c).value for c in g.coeffs)}"
-                  f" but c(fg) has value {min(valuate(D.valuation, c).value for c in cp_mul(f, g).coeffs)}")
+            cf, cg = dvs_ideal_of(D, content(f, D)), dvs_ideal_of(D, content(g, D))
+            cfg = dvs_ideal_of(D, content(cp_mul(f, g), D))
+            print(f"   c(f)c(g) has value {cf + cg} but c(fg) has value {cfg}")
         print()
 
 

@@ -9,8 +9,8 @@ for finitely generated ideals with oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import chain, islice, product
 
 from .dvs import DVSStructure
 from .ideals import (
@@ -103,6 +103,18 @@ def content(f: ContentPolynomial, dvs: DVSStructure | None = None) -> FinGenIdea
     return make_ideal(f.instance, gens, dvs=dvs)
 
 
+def _equal_ideals(law: str, pair: tuple, I: FinGenIdeal, J: FinGenIdeal,
+                  escapes: tuple[str, str], spec: SampleSpec | None) -> LawReport:
+    """I = J by generator inclusion both ways, I in J first.  A generator
+    that escapes follows the pair in the witness, and the detail names the
+    failing direction."""
+    for A, B, detail in ((I, J, escapes[0]), (J, I, escapes[1])):
+        sub = ideal_subset(A, B)
+        if not sub.holds:
+            return law_counterexample(law, pair + sub.witness, spec, detail)
+    return law_holds(law, spec)
+
+
 def dedekind_mertens_check(f: ContentPolynomial, g: ContentPolynomial,
                            dvs: DVSStructure | None = None,
                            spec: SampleSpec | None = None) -> LawReport:
@@ -115,15 +127,8 @@ def dedekind_mertens_check(f: ContentPolynomial, g: ContentPolynomial,
     cf = content(f, dvs)
     lhs = ideal_product(ideal_power(cf, m + 1), content(g, dvs))
     rhs = ideal_product(ideal_power(cf, m), content(cp_mul(f, g), dvs))
-    fwd = ideal_subset(lhs, rhs)
-    if not fwd.holds:
-        return law_counterexample(law, (f, g) + fwd.witness, spec,
-                                  "left side escapes the right")
-    bwd = ideal_subset(rhs, lhs)
-    if not bwd.holds:
-        return law_counterexample(law, (f, g) + bwd.witness, spec,
-                                  "right side escapes the left")
-    return law_holds(law, spec)
+    return _equal_ideals(law, (f, g), lhs, rhs, (
+        "left side escapes the right", "right side escapes the left"), spec)
 
 
 def gaussian_defect(f: ContentPolynomial, g: ContentPolynomial,
@@ -133,15 +138,8 @@ def gaussian_defect(f: ContentPolynomial, g: ContentPolynomial,
     law = f"gaussian[{f.instance.sid}]"
     prod = ideal_product(content(f, dvs), content(g, dvs))
     cfg = content(cp_mul(f, g), dvs)
-    fwd = ideal_subset(cfg, prod)
-    if not fwd.holds:
-        return law_counterexample(law, (f, g) + fwd.witness,
-                                  detail="coefficient of fg escapes c(f)c(g)")
-    bwd = ideal_subset(prod, cfg)
-    if not bwd.holds:
-        return law_counterexample(law, (f, g) + bwd.witness,
-                                  detail="c(f)c(g) escapes c(fg)")
-    return law_holds(law)
+    return _equal_ideals(law, (f, g), cfg, prod, (
+        "coefficient of fg escapes c(f)c(g)", "c(f)c(g) escapes c(fg)"), None)
 
 
 def sample_content_polys(carrier, spec: SampleSpec,
@@ -189,15 +187,9 @@ def gaussian_check(carrier, spec: SampleSpec,
     law = f"gaussian[{instance.sid}]"
     polys = sample_content_polys(carrier, spec, max_degree=max_degree)
     half = max(len(polys) // 2, 1)
-    fs, gs = polys[:half], polys[half:]
-    checked = 0
-    pairs = list(product(polys[:8], polys[:8])) + list(zip(fs, gs))
-    for f, g in pairs:
-        if checked >= spec.count:
-            break
-        checked += 1
+    pairs = chain(product(polys[:8], polys[:8]), zip(polys[:half], polys[half:]))
+    for f, g in islice(pairs, spec.count):
         verdict = gaussian_defect(f, g, dvs)
         if not verdict.holds:
-            return LawReport(law, verdict.verdict, spec, verdict.witness,
-                             verdict.detail)
+            return replace(verdict, bound=spec)
     return law_holds(law, spec)

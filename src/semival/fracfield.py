@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extended import GROUP_COMPLETION
 from .instances import FractionSemiring, get_instance
 from .semiring import Element, InstanceMismatchError
-from .valuation import Valuation
+from .valuation import Valuation, fraction_extension
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +91,7 @@ def embed_in_fractions(frs: FractionSemiring, z: Element) -> Element:
 
 def extend_valuation(v: Valuation) -> Valuation:
     """Extend a valuation on a cancellative instance to its fraction
-    semifield: a fraction x/y (y nonzero) maps to the difference
-    v(x) - v(y) in the group completion of the value domain, and 0 to inf.
+    semifield, x/y -> v(x) - v(y) (see ``fraction_extension``).
 
     The nonnegative part of the source embeds into the nonnegative part of
     the result via z -> z/1.
@@ -101,33 +99,5 @@ def extend_valuation(v: Valuation) -> Valuation:
     src = v.source
     if not src.caps.mc:
         raise ValueError(f"{src.sid} is not multiplicatively cancellative")
-    frs = get_instance(f"fractions({src.sid})")
-    dom = GROUP_COMPLETION[v.domain]
-    base, base_raw = frs.base, v.payload_fn
-    zero = base._zero()
-
-    def raw(p):
-        num_p, den_p = p
-        if base._eq(num_p, zero):
-            return None
-        vn, vd = base_raw(num_p), base_raw(den_p)
-        # the base is entire, so a nonzero numerator could still have value
-        # inf only if the rule sends nonzero elements there; guard anyway
-        if vn is None:
-            return None
-        # a difference of two domain values lies in the group completion
-        return vn - vd
-
-    def unit_in_sv(x: Element) -> bool:
-        num_p, den_p = x.payload
-        if base._eq(num_p, zero):
-            return False
-        return base_raw(num_p) == base_raw(den_p)
-
-    def ewv(g):
-        num = v.element_with_value(g if g >= 0 else 0)
-        den = v.element_with_value(-g if g < 0 else 0)
-        return Element(frs, frs._canon((num.payload, den.payload)))
-
-    return Valuation(f"ext({v.rule})", frs, dom, raw,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+    return fraction_extension(f"ext({v.rule})", v,
+                              get_instance(f"fractions({src.sid})"))

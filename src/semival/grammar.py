@@ -50,9 +50,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), i))
             i = j
@@ -90,10 +90,9 @@ class _Parser:
         return tok
 
     def expect_sym(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.value == sym:
+        if self.at_sym(sym):
             return self.take()
-        raise ParseError("syntax error", tok.pos, (repr(sym),))
+        raise ParseError("syntax error", self.peek().pos, (repr(sym),))
 
     def at_sym(self, sym: str) -> bool:
         tok = self.peek()
@@ -127,39 +126,35 @@ class _Parser:
             return self.take().value
         raise ParseError("syntax error", tok.pos, ("integer",))
 
-    def parse_exponent(self):
-        tok = self.peek()
+    def signed_int(self) -> int:
+        """An integer literal with an optional leading minus."""
         if self.at_sym("-"):
             self.take()
             return -self.expect_int()
-        if tok.kind == "int":
-            self.take()
-            return tok.value
+        return self.expect_int()
+
+    def parse_exponent(self):
+        tok = self.peek()
+        if tok.kind == "int" or self.at_sym("-"):
+            return self.signed_int()
         if self.at_sym("("):
             self.take()
-            sign = 1
-            if self.at_sym("-"):
-                self.take()
-                sign = -1
-            num = self.expect_int()
+            num = self.signed_int()
             self.expect_sym("/")
             den = self.expect_int()
             self.expect_sym(")")
-            return Fraction(sign * num, den)
+            # a (numerator, denominator) pair, checked once the instance is known
+            return (num, den)
         raise ParseError("syntax error", tok.pos, ("integer exponent",))
 
     def parse_atom(self):
         tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return ("int", tok.value)
-        if tok.kind == "sym" and tok.value == "-":
-            self.take()
-            return ("int", -self.expect_int())
+        if tok.kind == "int" or self.at_sym("-"):
+            return ("int", self.signed_int())
         if tok.kind == "name":
             self.take()
             return ("name", tok.value, tok.pos)
-        if tok.kind == "sym" and tok.value == "(":
+        if self.at_sym("("):
             self.take()
             node = self.parse_expr()
             self.expect_sym(")")
@@ -181,6 +176,12 @@ def _parse_ast(text: str):
 
 def _int_literal(node):
     return node[1] if node[0] == "int" else None
+
+
+def _ratio(instance: Semiring, num: int, den: int) -> Fraction:
+    if den == 0:
+        raise ZeroDivisionError(f"{instance.sid}: zero denominator")
+    return Fraction(num, den)
 
 
 def _eval_element(node, instance: Semiring) -> Element:
@@ -208,14 +209,15 @@ def _eval_element(node, instance: Semiring) -> Element:
         left_int = _int_literal(node[1])
         right_int = _int_literal(node[2])
         if left_int is not None and right_int is not None:
-            return instance.from_literal(Fraction(left_int, right_int))
+            return instance.from_literal(_ratio(instance, left_int, right_int))
         if instance.caps.semifield:
             return instance.div(_eval_element(node[1], instance),
                                 _eval_element(node[2], instance))
         raise ValueError(f"{instance.sid} has no division")
     if kind == "pow":
         exponent = node[2]
-        if isinstance(exponent, Fraction):
+        if isinstance(exponent, tuple):
+            exponent = _ratio(instance, *exponent)
             base_node = node[1]
             if (base_node[0] == "name" and base_node[1] == "X"
                     and isinstance(instance, MonoidSemiring)

@@ -455,9 +455,8 @@ class IntervalIdeal:
         return None
 
     def subset_of(self, other: "IntervalIdeal") -> bool:
-        if self.endpoint != other.endpoint:
-            return self.endpoint < other.endpoint
-        return other.closed or not self.closed
+        # [0,a) lies below [0,a], and both below every piece reaching past a
+        return (self.endpoint, self.closed) <= (other.endpoint, other.closed)
 
     def __str__(self) -> str:
         return f"fuzzy[0,{self.endpoint}{']' if self.closed else ')'}"

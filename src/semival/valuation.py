@@ -14,12 +14,13 @@ values; the law loops and membership tests call it on payloads directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
 from .extended import (
+    GROUP_COMPLETION,
     DomainMismatchError,
     ExtendedValue,
     Raw,
@@ -28,7 +29,7 @@ from .extended import (
     _raw_lt,
     _raw_min,
 )
-from .instances import MonoidSemiring, TropicalSemiring, get_instance
+from .instances import FractionSemiring, MonoidSemiring, TropicalSemiring, get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import pair_stream, stream
 from .semiring import Element, Semiring
@@ -237,19 +238,10 @@ def _padic_exponent(n: int, p: int) -> int:
     return e
 
 
-def _padic_fraction(p: int) -> tuple[Callable, Callable]:
-    """The p-adic order of a fraction (None for inf) and the unit test of its
-    nonnegative part, both on a (numerator, denominator) pair."""
-    def order(pair) -> Raw:
-        num, den = pair
-        if num == 0:
-            return None
-        return _padic_exponent(num, p) - _padic_exponent(den, p)
-
-    def unit(pair) -> bool:
-        num, den = pair
-        return num != 0 and num % p != 0 and den % p != 0
-    return order, unit
+def _padic_unit(p: int) -> Callable[[int, int], bool]:
+    """The closed-form unit test of the nonnegative part of the p-adic order
+    of a fraction, on its numerator and denominator."""
+    return lambda num, den: num != 0 and num % p != 0 and den % p != 0
 
 
 def _make_trivial(source: Semiring) -> Valuation:
@@ -269,21 +261,32 @@ def _make_trivial(source: Semiring) -> Valuation:
                      unit_in_sv=source.is_unit, element_with_value=ewv)
 
 
+def _padic_integers(p: int, source: Semiring) -> Valuation:
+    """The p-adic order on an instance whose payloads are natural numbers."""
+    def raw(n):
+        return None if n == 0 else _padic_exponent(n, p)
+
+    return Valuation(f"vp:{p}", source, "N0", raw,
+                     unit_in_sv=lambda x: x.payload == 1,
+                     element_with_value=lambda m: source.element(p ** m))
+
+
 def _make_padic(p: int, source: Semiring) -> Valuation:
     if not _is_prime(p):
         raise ValueError(f"vp parameter must be prime, got {p}")
     rule = f"vp:{p}"
     if source.sid == "nat":
-        def raw(n):
-            return None if n == 0 else _padic_exponent(n, p)
-
-        return Valuation(rule, source, "N0", raw,
-                         unit_in_sv=lambda x: x.payload == 1,
-                         element_with_value=lambda m: source.element(p ** m))
+        return _padic_integers(p, source)
     if source.sid == "qnn":
-        order, unit = _padic_fraction(p)
-        return Valuation(rule, source, "Z", lambda q: order(q.as_integer_ratio()),
-                         unit_in_sv=lambda x: unit(x.payload.as_integer_ratio()),
+        def raw(q):
+            num, den = q.as_integer_ratio()
+            if num == 0:
+                return None
+            return _padic_exponent(num, p) - _padic_exponent(den, p)
+
+        unit = _padic_unit(p)
+        return Valuation(rule, source, "Z", raw,
+                         unit_in_sv=lambda x: unit(*x.payload.as_integer_ratio()),
                          element_with_value=lambda m: source.element(Fraction(p) ** m))
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
 
@@ -331,66 +334,75 @@ def _make_tropical_id(source: Semiring) -> Valuation:
                      element_with_value=lambda m: source.element(m))
 
 
+def fraction_extension(rule: str, v: Valuation, frs: FractionSemiring) -> Valuation:
+    """The extension of v to the fractions of its source: x/y maps to
+    v(x) - v(y) in the group completion of the value domain (inf when x = 0,
+    as v(0) is), and is a unit of the nonnegative part when v(x) = v(y)."""
+    base_raw = v.payload_fn
+
+    def raw(p):
+        num_p, den_p = p
+        vn = base_raw(num_p)
+        # a difference of two domain values lies in the group completion
+        return None if vn is None else vn - base_raw(den_p)
+
+    def unit_in_sv(x: Element) -> bool:
+        num_p, den_p = x.payload
+        return base_raw(num_p) == base_raw(den_p)
+
+    def ewv(g):
+        num = v.element_with_value(g if g >= 0 else 0)
+        den = v.element_with_value(-g if g < 0 else 0)
+        return Element(frs, frs._canon((num.payload, den.payload)))
+
+    return Valuation(rule, frs, GROUP_COMPLETION[v.domain], raw,
+                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+
+
 def _make_deg_frac(source: Semiring) -> Valuation:
-    """Degree difference on fractions of nat polynomials: v(f/g) is
+    """The extension of the degree on nat polynomials: v(f/g) is
     deg f - deg g.  A surjective discrete valuation on a semifield that
     violates the min-property, since nat coefficients never cancel."""
     if source.sid != "fractions(poly(nat))":
         raise ValueError("deg-frac is defined on fractions(poly(nat))")
     poly = source.base
-
-    def raw(p):
-        num, den = p
-        if not num:
-            return None
-        return poly.high_order(num) - poly.high_order(den)
-
-    def unit_in_sv(x):
-        num, den = x.payload
-        return bool(num) and poly.high_order(num) == poly.high_order(den)
-
-    def ewv(m):
-        x_pow = poly.monomial_payload(max(m, 0), poly.base._one())
-        d_pow = poly.monomial_payload(max(-m, 0), poly.base._one())
-        return source.element((x_pow, d_pow))
-
-    return Valuation("deg-frac", source, "Z", raw,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+    degree = _monomial_order("degree", poly, "N0", poly.high_order)
+    return fraction_extension("deg-frac", degree, source)
 
 
 def _make_vm_idz(p: int, source: Semiring) -> Valuation:
-    """Order of the maximal ideal (p) in fractions of the ideals of Z."""
+    """Order of the maximal ideal (p) in fractions of the ideals of Z: the
+    extension of the p-adic order of a generator."""
     if source.sid != "fractions(ideals-z)":
         raise ValueError("vm-idz is defined on fractions(ideals-z)")
     if not _is_prime(p):
         raise ValueError(f"vm-idz parameter must be prime, got {p}")
-    order, unit = _padic_fraction(p)
+    unit = _padic_unit(p)
+    ext = fraction_extension(f"vm-idz:{p}", _padic_integers(p, source.base), source)
+    # the closed-form unit test, kept apart from the value comparison
+    return replace(ext, unit_in_sv=lambda x: unit(*x.payload))
 
-    def ewv(m):
-        return source.element((p ** max(m, 0), p ** max(-m, 0)))
 
-    return Valuation(f"vm-idz:{p}", source, "Z", order,
-                     unit_in_sv=lambda x: unit(x.payload), element_with_value=ewv)
+# rule name -> maker; a name ending in ":" takes a prime parameter
+_RULES = {
+    "trivial": _make_trivial,
+    "vp:": _make_padic,
+    "low-order": _make_low_order,
+    "deg-high": _make_deg_high,
+    "tropical-id": _make_tropical_id,
+    "deg-frac": _make_deg_frac,
+    "vm-idz:": _make_vm_idz,
+}
 
 
 def get_valuation(rule: str, source: Semiring) -> Valuation:
     """Resolve a stable rule identifier against a source instance."""
     rule = rule.strip()
-    if rule == "trivial":
-        return _make_trivial(source)
-    if rule.startswith("vp:"):
-        return _make_padic(int(rule[3:]), source)
-    if rule == "low-order":
-        return _make_low_order(source)
-    if rule == "deg-high":
-        return _make_deg_high(source)
-    if rule == "tropical-id":
-        return _make_tropical_id(source)
-    if rule == "deg-frac":
-        return _make_deg_frac(source)
-    if rule.startswith("vm-idz:"):
-        return _make_vm_idz(int(rule[7:]), source)
-    raise ValueError(f"unknown valuation rule {rule!r}")
+    name, colon, param = rule.partition(":")
+    make = _RULES.get(name + colon)
+    if make is None:
+        raise ValueError(f"unknown valuation rule {rule!r}")
+    return make(int(param), source) if colon else make(source)
 
 
 # Every (rule, source) pair exercised by the law suite.

@@ -318,3 +318,15 @@ def test_valuate_rejects_parameters_not_certified_prime(capsys, rule):
     code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
                          rule, "5")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sid,rule,literal,message", [
+    ("qnn", "trivial", "1/0", "error: qnn: zero denominator"),
+    ("nat", "vp:5", "1/0", "error: nat: zero denominator"),
+    ("monoid(nat,Q)", "low-order", "X^(1/0)", "error: monoid(nat,Q): zero denominator"),
+    ("nat", "vp:5", "\u00b2", "error: unexpected character '\u00b2' at position 0"),
+])
+def test_malformed_literals_exit_2_with_a_message(capsys, sid, rule, literal, message):
+    code, out, err = run(capsys, "valuate", "--semiring", sid, "--valuation", rule,
+                         literal)
+    assert (code, out, err) == (2, "", message + "\n")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -84,11 +85,23 @@ def test_parse_errors_carry_position():
     ("-", 1, ("integer",)),
     ("X^(1/2", 6, ("')'",)),
     ("X^", 2, ("integer exponent",)),
+    # a superscript is a digit but not a decimal digit
+    ("\u00b2", 0, ()),
+    ("5\u00b2", 1, ()),
 ])
 def test_malformed_literals_and_exponents(text, pos, expected):
     with pytest.raises(ParseError) as err:
         parse_element(text, get_instance("monoid(nat,Q)"))
     assert (err.value.pos, err.value.expected) == (pos, expected)
+
+
+@pytest.mark.parametrize("sid,text", [
+    ("qnn", "1/0"), ("fuzzy", "0/0"), ("tropical-int", "-3/0"), ("nat", "4/0"),
+    ("monoid(nat,Q)", "X^(1/0)"), ("monoid(nat,Q)", "X^(-2/0)"), ("poly(nat)", "X^(1/0)"),
+])
+def test_zero_denominators_name_the_instance(sid, text):
+    with pytest.raises(ZeroDivisionError, match=rf"^{re.escape(sid)}: zero denominator$"):
+        parse_element(text, get_instance(sid))
 
 
 def test_division_requires_capability():

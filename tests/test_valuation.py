@@ -442,6 +442,57 @@ def test_payload_rules_agree_with_valuate_and_send_zero_to_inf():
     assert digests == VALUE_DIGESTS
 
 
+# sha256 (first 16 hex digits) of each rule's unit test over the sample of
+# the test above and of its elements of the values in VALUE_RANGES, recorded
+# before deg-frac and vm-idz were derived from the fraction extension
+UNIT_AND_ELEMENT_DIGESTS = {
+    "trivial@qnn": "97772ea2046244d5",
+    "ext(trivial)@fractions(qnn)": "cb439b165c366541",
+    "vp:5@nat": "00c2a17e346e7984",
+    "ext(vp:5)@fractions(nat)": "89867e8aebe635cf",
+    "vp:5@qnn": "5baa80655d6b4221",
+    "ext(vp:5)@fractions(qnn)": "a6ad144d4b3a678b",
+    "low-order@poly(nat)": "73975f0fe80da00c",
+    "ext(low-order)@fractions(poly(nat))": "1195d46f4aa9ad53",
+    "low-order@laurent(nat)": "dc500d6f55fb9d82",
+    "ext(low-order)@fractions(laurent(nat))": "0135b82c93e31d93",
+    "low-order@monoid(nat,N0)": "73975f0fe80da00c",
+    "ext(low-order)@fractions(monoid(nat,N0))": "d194eb3d3ea39f8d",
+    "deg-high@laurent(nat)": "dc500d6f55fb9d82",
+    "ext(deg-high)@fractions(laurent(nat))": "e7c014d5a4f4fda3",
+    "tropical-id@tropical-nat": "6c6198858c5a2bd6",
+    "ext(tropical-id)@fractions(tropical-nat)": "594b413db00266f5",
+    "tropical-id@tropical-int": "c4709bed840600ce",
+    "ext(tropical-id)@fractions(tropical-int)": "8b022b22695405e0",
+    "deg-frac@fractions(poly(nat))": "0bf7c4acc82ccce1",
+    "ext(deg-frac)@fractions(fractions(poly(nat)))": "b83d441672ade329",
+    "vm-idz:5@fractions(ideals-z)": "631f299144601153",
+    "ext(vm-idz:5)@fractions(fractions(ideals-z))": "5c4fbe6b54c7db94",
+    "value-group(qnn at 5)@qnn": "5baa80655d6b4221",
+    "value-group(tropical naturals)@tropical-int": "c4709bed840600ce",
+    "value-group(degree-bounded fractions)@fractions(poly(nat))": "0bf7c4acc82ccce1",
+    "value-group(integer ideals at (5))@fractions(ideals-z)": "631f299144601153",
+}
+VALUE_RANGES = {"trivial": range(0, 1), "N0": range(0, 5), "Z": range(-4, 5)}
+
+
+def test_unit_tests_and_value_elements_are_pinned():
+    digests = {}
+    for v in _all_rules():
+        src = v.source
+        xs = [*src.preamble, *stream(src, SampleSpec(1, 200, 50), salt="payload-rule"),
+              src.zero]
+        units = [v.unit_in_sv(x) for x in xs]
+        elements = []
+        for m in VALUE_RANGES[v.domain]:
+            x = v.element_with_value(m)
+            assert valuate(v, x) == fin(v.domain, m), (v.rule, m)
+            elements.append(str(x))
+        digests[f"{v.rule}@{src.sid}"] = hashlib.sha256(
+            json.dumps([units, elements]).encode()).hexdigest()[:16]
+    assert digests == UNIT_AND_ELEMENT_DIGESTS
+
+
 def test_axioms_refute_a_finite_sum_of_two_infinite_values():
     # inf on the multiples of 2 or 3: products stay consistent and v(1) = 0,
     # but v(2 + 3) = 0 lies below min(inf, inf)
