@@ -326,6 +326,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        # running out of memory or stack is no verdict either
+        print(f"error: {type(exc).__name__}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,20 +27,30 @@ from fractions import Fraction
 from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
 
 
-def _randint(rng, a: int, b: int) -> int:
-    """rng.randint(a, b) without its argument checks and call layers.
+def _uniform(rng, a: int, b: int):
+    """A zero-argument draw of rng.randint(a, b) without its argument checks
+    and call layers; building it takes nothing from rng.
 
-    Draws getrandbits of the bit length of n = b - a + 1 and retries while
-    the draw is >= n, which is exactly what random.Random.randint consumes,
-    so every stream stays the same draw for draw.
+    Each call draws getrandbits of the bit length of n = b - a + 1 and
+    retries while the draw is >= n, which is exactly what
+    random.Random.randint consumes, so every stream stays the same draw for
+    draw.
     """
     n = b - a + 1
     k = n.bit_length()
     getrandbits = rng.getrandbits
-    r = getrandbits(k)
-    while r >= n:
+
+    def draw() -> int:
         r = getrandbits(k)
-    return a + r
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+    return draw
+
+
+def _randint(rng, a: int, b: int) -> int:
+    """One draw of rng.randint(a, b); see _uniform."""
+    return _uniform(rng, a, b)()
 
 
 class NatSemiring(Semiring):
@@ -73,8 +83,8 @@ class NatSemiring(Semiring):
     def _is_unit(self, p):
         return p == 1
 
-    def _random(self, rng, bound):
-        return _randint(rng, 0, max(1, bound))
+    def _sampler(self, rng, bound):
+        return _uniform(rng, 0, max(1, bound))
 
     def _preamble(self):
         return (0, 1, 2, 3, 5)
@@ -114,9 +124,10 @@ class QnnSemiring(Semiring):
             raise UnsupportedOperationError("qnn: zero is not invertible")
         return 1 / p
 
-    def _random(self, rng, bound):
+    def _sampler(self, rng, bound):
         b = max(1, bound)
-        return Fraction(_randint(rng, 0, b), _randint(rng, 1, b))
+        num, den = _uniform(rng, 0, b), _uniform(rng, 1, b)
+        return lambda: Fraction(num(), den())
 
     def _preamble(self):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
@@ -170,9 +181,9 @@ class BoolPolySemiring(Semiring):
             terms.append("1" if e == 0 else ("X" if e == 1 else f"X^{e}"))
         return " + ".join(terms)
 
-    def _random(self, rng, bound):
-        top = min(max(1, bound), 8)
-        return frozenset([_randint(rng, 0, top) for _ in range(_randint(rng, 0, 4))])
+    def _sampler(self, rng, bound):
+        size, exponent = _uniform(rng, 0, 4), _uniform(rng, 0, min(max(1, bound), 8))
+        return lambda: frozenset([exponent() for _ in range(size())])
 
     def _preamble(self):
         return (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))
@@ -206,9 +217,16 @@ class FuzzySemiring(Semiring):
     def _is_unit(self, p):
         return p == 1
 
-    def _random(self, rng, bound):
-        den = _randint(rng, 1, min(max(2, bound), 12))
-        return Fraction(_randint(rng, 0, den), den)
+    def _sampler(self, rng, bound):
+        top = min(max(2, bound), 12)
+        den = _uniform(rng, 1, top)
+        # the numerator's range depends on the denominator drawn
+        num = [_uniform(rng, 0, d) for d in range(top + 1)]
+
+        def draw():
+            d = den()
+            return Fraction(num[d](), d)
+        return draw
 
     def _preamble(self):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4))
@@ -277,11 +295,11 @@ class TropicalSemiring(Semiring):
     def _text(self, p):
         return "inf" if p is None else str(p)
 
-    def _random(self, rng, bound):
-        if rng.random() < 0.12:
-            return None
+    def _sampler(self, rng, bound):
         b = max(1, bound)
-        return _randint(rng, 0, b) if self.values == "nat" else _randint(rng, -b, b)
+        value = _uniform(rng, 0, b) if self.values == "nat" else _uniform(rng, -b, b)
+        random = rng.random
+        return lambda: None if random() < 0.12 else value()
 
     def _preamble(self):
         if self.values == "nat":
@@ -461,24 +479,30 @@ class MonoidSemiring(Semiring):
                 terms.append(f"{ctext}*{xpart}")
         return " + ".join(terms)
 
-    def _random_exponent(self, rng, cap):
-        if self.exponents == "N0":
-            return _randint(rng, 0, cap)
-        if self.exponents == "Z":
-            return _randint(rng, -cap, cap)
-        return Fraction(_randint(rng, -cap, cap), (1, 2, 3)[_randint(rng, 0, 2)])
-
-    def _random(self, rng, bound):
-        terms = _randint(rng, 0, 3)
-        if not terms:
-            return ()
+    def _sampler(self, rng, bound):
         cap = min(max(1, bound), 4)
-        exponent, coefficient = self._random_exponent, self.base._random_nonzero
-        acc = {}
-        for _ in range(terms):
-            e = exponent(rng, cap)
-            acc[e] = coefficient(rng, bound)
-        return tuple(sorted(acc.items()))
+        if self.exponents == "N0":
+            exponent = _uniform(rng, 0, cap)
+        elif self.exponents == "Z":
+            exponent = _uniform(rng, -cap, cap)
+        else:
+            num, den = _uniform(rng, -cap, cap), _uniform(rng, 0, 2)
+            exponent = lambda: Fraction(num(), (1, 2, 3)[den()])
+        terms = _uniform(rng, 0, 3)
+        coefficient = self.base._nonzero_sampler(rng, bound)
+
+        def draw():
+            n = terms()
+            if n == 0:
+                return ()
+            if n == 1:
+                return ((exponent(), coefficient()),)
+            acc = {}
+            for _ in range(n):
+                e = exponent()
+                acc[e] = coefficient()
+            return tuple(sorted(acc.items()))
+        return draw
 
     def _preamble(self):
         one = self._one()
@@ -577,9 +601,11 @@ class FractionSemiring(Semiring):
     def _text(self, p):
         return f"({self.base._text(p[0])})/({self.base._text(p[1])})"
 
-    def _random(self, rng, bound):
-        return self._reduce(self.base._random(rng, bound),
-                            self.base._random_nonzero(rng, bound))
+    def _sampler(self, rng, bound):
+        num = self.base._sampler(rng, bound)
+        den = self.base._nonzero_sampler(rng, bound)
+        reduce = self._reduce
+        return lambda: reduce(num(), den())
 
     def _preamble(self):
         pre = [self._zero(), self._one()]

@@ -119,7 +119,9 @@ class Semiring(ABC):
     def _is_unit(self, p) -> bool: ...
 
     @abstractmethod
-    def _random(self, rng, bound): ...
+    def _sampler(self, rng, bound):
+        """A zero-argument draw of random payloads within the size bound;
+        building it takes nothing from rng."""
 
     @abstractmethod
     def _preamble(self) -> tuple: ...
@@ -141,13 +143,17 @@ class Semiring(ABC):
     def _from_literal(self, q):
         return self._canon(q)
 
-    def _random_nonzero(self, rng, bound):
-        zero, draw, eq = self._zero(), self._random, self._eq
-        for _ in range(64):
-            p = draw(rng, bound)
-            if not eq(p, zero):
-                return p
-        return self._one()
+    def _nonzero_sampler(self, rng, bound):
+        """The draw of _sampler, retried while zero; one after 64 zeros."""
+        draw, zero, eq = self._sampler(rng, bound), self._zero(), self._eq
+
+        def nonzero():
+            for _ in range(64):
+                p = draw()
+                if not eq(p, zero):
+                    return p
+            return self._one()
+        return nonzero
 
     # -- element-level API ---------------------------------------------------
 
@@ -200,12 +206,13 @@ class Semiring(ABC):
             return self.power(self.inv(a), -n)
         result = self.one
         base = a
-        while n:
+        while True:
             if n & 1:
                 result = self.mul(result, base)
-            base = self.mul(base, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = self.mul(base, base)
 
     def from_literal(self, q) -> Element:
         if isinstance(q, Fraction) and q.denominator == 1:
@@ -219,7 +226,7 @@ class Semiring(ABC):
         raise UnsupportedOperationError(f"{self.sid} has no element inf")
 
     def sample(self, rng, bound: int) -> Element:
-        return Element(self, self._random(rng, bound))
+        return Element(self, self._sampler(rng, bound)())
 
     @cached_property
     def preamble(self) -> tuple:

@@ -458,10 +458,11 @@ ALL_CRITERIA = (
 
 # Submission order for the worker pool, heaviest first, so that criterion 6
 # starts at once and the light criteria fill the other workers behind it.
-# Untraced in-process seconds, two serial runs on 2 cores (Python 3.11.7):
-# c6 3.3, c1 2.2-2.3, c3 0.9-1.0, c2 0.5-0.6, c11 0.35, c12, c9 and c4 about
-# 0.3, c5 and c10 about 0.2, c8 0.13, c7 under 0.01.  The criteria after c2
-# differ by less than the run-to-run spread, so their order is kept.
+# Untraced in-process seconds, four serial runs on 2 cores (Python 3.11.7):
+# c6 1.9-2.2, c1 1.3-1.5, c3 0.65-0.70, c2 0.3, c11, c12 and c9 0.2-0.33,
+# c4 and c10 0.15, c5 and c8 0.1-0.13, c7 under 0.01.  No criterion after c2
+# leads one placed before it by more than the run-to-run spread, so the
+# order is kept.
 HEAVIEST_FIRST = (6, 1, 3, 2, 4, 12, 9, 5, 11, 10, 8, 7)
 
 

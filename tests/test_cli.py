@@ -4,6 +4,7 @@ import time
 import pytest
 
 from semival.cli import main
+from semival.semiring import Semiring
 
 
 def run(capsys, *argv):
@@ -330,3 +331,16 @@ def test_malformed_literals_exit_2_with_a_message(capsys, sid, rule, literal, me
     code, out, err = run(capsys, "valuate", "--semiring", sid, "--valuation", rule,
                          literal)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_running_out_of_memory_or_stack_exits_2(capsys, monkeypatch, error):
+    # exit 1 is reserved for a counterexample
+    def exhausted(self, a, n):
+        raise error()
+
+    monkeypatch.setattr(Semiring, "power", exhausted)
+    code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
+                         "vp:5", "2^99999999999")
+    # the parser reports a RecursionError under it as nesting too deeply
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semival.instances import ALL_REGISTERED_IDS, _randint, get_instance
+from semival.instances import ALL_REGISTERED_IDS, _randint, _uniform, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
-from semival.semiring import InstanceMismatchError, UnsupportedOperationError
+from semival.semiring import InstanceMismatchError, Semiring, UnsupportedOperationError
 
 
 def test_registry_resolves_each_id_once():
@@ -283,10 +283,14 @@ def _widths():
 @pytest.mark.parametrize("a", [0, 7, -3, -(2 ** 40)])
 def test_randint_consumes_the_generator_like_the_stdlib(a):
     for n in _widths():
-        r1, r2 = random.Random(f"randint:{a}:{n}"), random.Random(f"randint:{a}:{n}")
+        r1, r2, r3 = (random.Random(f"randint:{a}:{n}") for _ in range(3))
+        b = a + n - 1
+        draw = _uniform(r3, a, b)
         for _ in range(20):
-            assert _randint(r1, a, a + n - 1) == r2.randint(a, a + n - 1)
-        assert r1.getstate() == r2.getstate()
+            expected = r2.randint(a, b)
+            assert _randint(r1, a, b) == expected
+            assert draw() == expected
+        assert r1.getstate() == r2.getstate() == r3.getstate()
 
 
 def test_randint_matches_the_stdlib_over_many_seeded_draws():
@@ -297,3 +301,31 @@ def test_randint_matches_the_stdlib_over_many_seeded_draws():
         a = -n // 2 if i % 3 else 0
         assert _randint(r1, a, a + n - 1) == r2.randint(a, a + n - 1)
     assert r1.getstate() == r2.getstate()
+
+
+def test_building_a_sampler_draws_nothing():
+    for sid in ALL_REGISTERED_IDS:
+        inst = get_instance(sid)
+        rng = random.Random(f"sampler:{sid}")
+        state = rng.getstate()
+        inst._sampler(rng, 50)
+        inst._nonzero_sampler(rng, 50)
+        assert rng.getstate() == state, sid
+
+
+def test_power_squares_once_per_exponent_bit_below_the_top(monkeypatch):
+    nat = get_instance("nat")
+    calls = []
+    mul = Semiring.mul
+
+    def counting_mul(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Semiring, "mul", counting_mul)
+    for k in range(8):
+        calls.clear()
+        assert nat.power(nat.element(3), 2 ** k) == nat.element(3 ** 2 ** k)
+        assert len(calls) == k + 1
+    calls.clear()
+    assert nat.power(nat.element(3), 0) == nat.one and not calls

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +10,7 @@ from semival.content import content_pairs
 from semival.dvs import standard_dvs_structures
 from semival.fracfield import extend_valuation
 from semival.instances import ALL_REGISTERED_IDS, get_instance
+from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
 from semival.sampling import pair_stream, stream, triple_stream
 from semival.valuation import (
@@ -239,7 +243,36 @@ STREAM_DIGESTS = {
         "vm-idz:5@fractions(ideals-z) ext-vax": "61c3327233a1392c",
     },
 }
-CONTENT_PAIRS_DIGEST = "b7c8e7f33f03803e"
+# sha256 (first 16 hex digits) of the content pairs at SampleSpec(1, 50, 50),
+# on nat, ideals-z and the carriers of the four standard structures
+CONTENT_PAIRS_DIGESTS = {
+    "nat": "b7c8e7f33f03803e",
+    "ideals-z": "fc4f58b6a395d70f",
+    "qnn at 5": "e648dac22fd387b1",
+    "tropical naturals": "07a3a857543da1a1",
+    "degree-bounded fractions": "c9e7d7b9f43f3aa1",
+    "integer ideals at (5)": "90298f209af46322",
+}
+# sha256 (first 16 hex digits) of 200 Semiring.sample draws at bound 50 per
+# id, all ids in registry order on one shared rng, recorded before streams
+# drew through prebuilt samplers
+SAMPLE_DIGESTS = {
+    "nat": "b51726738c972314",
+    "qnn": "c94160b1b67aa3da",
+    "bool-poly": "9c0f6991fa6c4981",
+    "fuzzy": "e3ec4a84a78b263c",
+    "tropical-nat": "a42fe8a016a013a4",
+    "tropical-int": "d08b46133ae3b516",
+    "ideals-z": "526a6f173cb1740a",
+    "poly(nat)": "020b886b65b6be5c",
+    "laurent(nat)": "581404c360545ed3",
+    "monoid(nat,N0)": "bf7fb02869a54880",
+    "monoid(nat,Z)": "0186b224d91ec6f1",
+    "monoid(nat,Q)": "545fe05df0cbefb6",
+    "fractions(nat)": "fa19c181c7048fba",
+    "fractions(poly(nat))": "0555b0be340ab957",
+    "fractions(ideals-z)": "bf7eeb681d432d93",
+}
 
 
 def _digest(rows) -> str:
@@ -278,9 +311,40 @@ def test_law_streams_match_recorded_digests(seed):
 
 
 def test_content_pairs_match_recorded_digest():
-    pairs = content_pairs(get_instance("nat"), SampleSpec(1, 50, 50))
-    assert len(pairs) == 50
-    assert _digest(pairs) == CONTENT_PAIRS_DIGEST
+    carriers = {sid: get_instance(sid) for sid in ("nat", "ideals-z")}
+    carriers.update((D.name, D) for D in standard_dvs_structures())
+    got = {}
+    for name, carrier in carriers.items():
+        pairs = content_pairs(carrier, SampleSpec(1, 50, 50))
+        assert len(pairs) == 50
+        got[name] = _digest(pairs)
+    assert got == CONTENT_PAIRS_DIGESTS
+
+
+def test_samples_on_a_shared_rng_match_recorded_digests():
+    rng = random.Random(20261019)
+    got = {}
+    for sid in ALL_REGISTERED_IDS:
+        inst = get_instance(sid)
+        got[sid] = _digest((inst.sample(rng, 50),) for _ in range(200))
+    assert got == SAMPLE_DIGESTS
+
+
+def test_drawn_streams_are_not_retained():
+    # a cache of drawn streams would keep the 150 streams these checks draw,
+    # over 20 MB, after every check had returned
+    inst = get_instance("poly(nat)")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(50):
+            check_semiring_axioms(inst, SampleSpec(1000 + seed, 1000, 50))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
 
 
 # The carrier streams of criteria 6, 11 and 12 at the suite's salts and
