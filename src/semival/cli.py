@@ -99,19 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(args, verdict: str, *, prop: str | None = None,
-            witness=(), result: str | None = None, start: float) -> dict:
-    bound = {"seed": getattr(args, "seed", None),
-             "samples": getattr(args, "samples", None),
-             "size_bound": getattr(args, "size_bound", None)}
+def _report(args, report: LawReport, prop: str | None, result: str | None,
+            start: float) -> dict:
+    """The JSON report; its bound is the one the report checked, if any."""
+    spec = report.bound or _spec(args)
     return {
         "command": args.command,
-        "instance": getattr(args, "semiring", None),
-        "valuation": getattr(args, "valuation", None),
+        "instance": args.semiring,
+        "valuation": args.valuation,
         "property": prop,
-        "verdict": verdict,
-        "bound": bound,
-        "witness": [str(w) for w in witness],
+        "verdict": report.verdict,
+        "bound": {"seed": spec.seed, "samples": spec.count,
+                  "size_bound": spec.size_bound},
+        "witness": [str(w) for w in report.witness],
         "result": result,
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }
@@ -157,9 +157,9 @@ def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport
               for i in range(0, len(pool) - 1, 2)]
     found = first_incomparable_pair(ideals, spec.count)
     if found is None:
-        return LawReport(law, "holds", spec)
+        return LawReport(law, "holds", pool_spec)
     i, j, report = found
-    return LawReport(law, "counterexample", spec, report.witness,
+    return LawReport(law, "counterexample", pool_spec, report.witness,
                      f"between {ideals[i]} and {ideals[j]}")
 
 
@@ -316,11 +316,10 @@ def main(argv=None) -> int:
             prop = args.property
         else:
             line, result = _calculate(args)
-            payload = _report(args, "ok", result=result, start=start)
+            payload = _report(args, LawReport(args.command, "ok"), None, result, start)
             print(json.dumps(payload) if args.output == "json" else line)
             return 0
-        payload = _report(args, report.verdict, prop=prop, witness=report.witness,
-                          result=result, start=start)
+        payload = _report(args, report, prop, result, start)
         print(json.dumps(payload) if args.output == "json" else report)
         return 0 if report.holds else 1
     except (ValueError, ZeroDivisionError) as exc:

@@ -2,9 +2,11 @@
 
 Valuation values live in one of a small closed registry of totally ordered
 commutative monoids: the trivial monoid ``{0}``, the naturals ``N0``, the
-integers ``Z`` and the rationals ``Q``.  Every domain gains a greatest
-element (printed ``inf``) that absorbs addition and compares strictly above
-every finite value.  All values are immutable; all operations are pure.
+integers ``Z`` and the rationals ``Q``.  The same monoids carry the
+exponents of the monoid-semiring instances and the values of the tropical
+instances.  Every domain gains a greatest element (printed ``inf``) that
+absorbs addition and compares strictly above every finite value.  All
+values are immutable; all operations are pure.
 """
 
 from __future__ import annotations
@@ -12,10 +14,77 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-DOMAINS = ("trivial", "N0", "Z", "Q")
 
-# Group completion of each registered domain (differences, normalised).
-GROUP_COMPLETION = {"trivial": "trivial", "N0": "Z", "Z": "Z", "Q": "Q"}
+def _uniform(rng, a: int, b: int):
+    """A zero-argument draw of rng.randint(a, b) without its argument checks
+    and call layers; building it takes nothing from rng.
+
+    Each call draws getrandbits of the bit length of n = b - a + 1 and
+    retries while the draw is >= n, which is exactly what
+    random.Random.randint consumes, so every stream stays the same draw for
+    draw.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+    return draw
+
+
+def _as_int(v):
+    """v as an int when it is an int or an integral Fraction, else None."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
+    return v if isinstance(v, int) else None
+
+
+def _as_natural(v):
+    v = _as_int(v)
+    return v if v is not None and v >= 0 else None
+
+
+def _rational_draw(rng, cap: int):
+    num, den = _uniform(rng, -cap, cap), _uniform(rng, 0, 2)
+    return lambda: Fraction(num(), (1, 2, 3)[den()])
+
+
+class Monoid:
+    """One registered totally ordered commutative monoid.
+
+    ``canon`` maps a member to its canonical form and anything else to None;
+    ``inverses`` says whether every element has an inverse; ``completion``
+    names the group completion; ``draw(rng, cap)`` builds a zero-argument
+    draw of members of size at most cap, taking nothing from rng.
+    """
+
+    def __init__(self, name, canon, inverses, completion, draw):
+        self.name = name
+        self.canon = canon
+        self.inverses = inverses
+        self.completion = completion
+        self.draw = draw
+
+    def check(self, value):
+        """The canonical form of a member; ValueError for anything else."""
+        c = self.canon(value)
+        if c is None:
+            raise ValueError(f"{value!r} is not in {self.name}")
+        return c
+
+
+MONOIDS = {m.name: m for m in (
+    # no carrier draws from the trivial monoid: it has no exponent 1 for X
+    Monoid("trivial", lambda v: 0 if v == 0 else None, True, "trivial", None),
+    Monoid("N0", _as_natural, False, "Z", lambda rng, cap: _uniform(rng, 0, cap)),
+    Monoid("Z", _as_int, True, "Z", lambda rng, cap: _uniform(rng, -cap, cap)),
+    Monoid("Q", lambda v: Fraction(v) if isinstance(v, (int, Fraction)) else None,
+           True, "Q", _rational_draw),
+)}
 
 LT, EQ, GT = -1, 0, 1
 
@@ -43,26 +112,6 @@ class DomainMismatchError(ValueError):
     """Raised when two extended values from different domains are combined."""
 
 
-def _check_scalar(domain: str, value):
-    if domain == "trivial":
-        if value != 0:
-            raise ValueError(f"trivial domain only contains 0, got {value!r}")
-        return 0
-    if domain == "N0":
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"N0 values are nonnegative ints, got {value!r}")
-        return value
-    if domain == "Z":
-        if not isinstance(value, int):
-            raise ValueError(f"Z values are ints, got {value!r}")
-        return value
-    if domain == "Q":
-        if not isinstance(value, (int, Fraction)):
-            raise ValueError(f"Q values are ints or Fractions, got {value!r}")
-        return value
-    raise ValueError(f"unknown value domain {domain!r}")
-
-
 @dataclass(frozen=True)
 class ExtendedValue:
     """A finite scalar in a named domain, or the adjoined greatest element.
@@ -74,10 +123,11 @@ class ExtendedValue:
     value: int | Fraction | None
 
     def __post_init__(self):
-        if self.domain not in DOMAINS:
+        monoid = MONOIDS.get(self.domain)
+        if monoid is None:
             raise ValueError(f"unknown value domain {self.domain!r}")
         if self.value is not None:
-            object.__setattr__(self, "value", _check_scalar(self.domain, self.value))
+            object.__setattr__(self, "value", monoid.check(self.value))
 
     @classmethod
     def fin(cls, domain: str, value) -> "ExtendedValue":
@@ -146,8 +196,9 @@ def ext_neg(a: ExtendedValue) -> ExtendedValue:
     """Additive inverse; only defined for finite values in group domains."""
     if a.is_inf:
         raise ValueError("the top element has no additive inverse")
-    if a.domain == "N0":
-        raise ValueError("N0 is not a group; negate in its completion Z")
+    if not MONOIDS[a.domain].inverses:
+        raise ValueError(f"{a.domain} is not a group; negate in its completion "
+                         f"{MONOIDS[a.domain].completion}")
     return ExtendedValue.fin(a.domain, -a.value)
 
 
@@ -156,7 +207,7 @@ def ext_difference(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
     _same_domain(a, b)
     if b.is_inf:
         raise ValueError("cannot subtract the top element")
-    target = GROUP_COMPLETION[a.domain]
+    target = MONOIDS[a.domain].completion
     if a.is_inf:
         return ExtendedValue.inf(target)
     return ExtendedValue.fin(target, a.value - b.value)

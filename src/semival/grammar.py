@@ -221,7 +221,7 @@ def _eval_element(node, instance: Semiring) -> Element:
             base_node = node[1]
             if (base_node[0] == "name" and base_node[1] == "X"
                     and isinstance(instance, MonoidSemiring)
-                    and instance.exponents == "Q"):
+                    and instance.exponents.name == "Q"):
                 return instance.element(
                     instance.monomial_payload(exponent, instance.base._one()))
             raise ValueError(f"{instance.sid}: rational exponents only apply "
@@ -304,10 +304,6 @@ def parse_ideal(text: str, instance: Semiring, dvs=None):
     if stripped.startswith("fuzzy[0,") and stripped[-1] in ")]":
         if instance.sid != "fuzzy":
             raise ValueError("interval ideals only exist over fuzzy")
-        closed = stripped.endswith("]")
         endpoint = parse_element(stripped[len("fuzzy[0,"):-1], instance)
-        if not closed and endpoint.is_zero():
-            # [0,0) is empty, and an ideal contains 0
-            raise ParseError("fuzzy[0,0) is empty, not an ideal", len("fuzzy[0,"))
-        return IntervalIdeal(endpoint.payload, closed)
+        return IntervalIdeal(endpoint.payload, stripped.endswith("]"))
     raise ParseError("expected ideal[...] or fuzzy[0,...]", 0)

@@ -253,6 +253,8 @@ class FinGenIdeal:
     dvs: object = None  # DVSStructure, kept untyped to avoid an import cycle
 
     def __post_init__(self):
+        if self.dvs is not None and self.dvs.ambient is not self.instance:
+            raise ValueError(f"{self.dvs.name} is not a structure on {self.instance.sid}")
         if not self.generators:
             raise ValueError("an ideal needs at least one generator")
         for g in self.generators:

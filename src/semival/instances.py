@@ -24,28 +24,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .extended import MONOIDS, _raw_add, _raw_min, _uniform
 from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
 
-
-def _uniform(rng, a: int, b: int):
-    """A zero-argument draw of rng.randint(a, b) without its argument checks
-    and call layers; building it takes nothing from rng.
-
-    Each call draws getrandbits of the bit length of n = b - a + 1 and
-    retries while the draw is >= n, which is exactly what
-    random.Random.randint consumes, so every stream stays the same draw for
-    draw.
-    """
-    n = b - a + 1
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
-
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return a + r
-    return draw
+_N0 = MONOIDS["N0"]
 
 
 def _randint(rng, a: int, b: int) -> int:
@@ -74,11 +56,7 @@ class NatSemiring(Semiring):
         return p * q
 
     def _canon(self, p):
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        if not isinstance(p, int) or p < 0:
-            raise ValueError(f"{self.sid} payload must be a nonnegative int, got {p!r}")
-        return p
+        return _N0.check(p)
 
     def _is_unit(self, p):
         return p == 1
@@ -157,18 +135,13 @@ class BoolPolySemiring(Semiring):
         return frozenset(e1 + e2 for e1 in p for e2 in q)
 
     def _canon(self, p):
-        p = frozenset(p)
-        if any(not isinstance(e, int) or e < 0 for e in p):
-            raise ValueError("bool-poly exponents must be nonnegative ints")
-        return p
+        return frozenset(map(_N0.check, p))
 
     def _is_unit(self, p):
         return p == frozenset((0,))
 
     def _from_literal(self, q):
-        if not isinstance(q, int) or q < 0:
-            raise ValueError(f"bool-poly literal must be a nonnegative int, got {q!r}")
-        return frozenset() if q == 0 else frozenset((0,))
+        return frozenset() if _N0.check(q) == 0 else frozenset((0,))
 
     def indeterminate(self):
         return Element(self, frozenset((1,)))
@@ -235,18 +208,15 @@ class FuzzySemiring(Semiring):
 class TropicalSemiring(Semiring):
     """Min-plus arithmetic with an adjoined inf as the additive zero.
 
-    Payloads are ints or None (inf).  The integer variant is a semifield;
-    the natural variant is cancellative but keeps its units at {0}.
+    Payloads are values in N0 or Z, or None (inf).  Over Z the carrier is a
+    semifield; over N0 it is cancellative but keeps its units at {0}.
     """
 
-    def __init__(self, values: str):
-        if values not in ("int", "nat"):
-            raise ValueError("tropical carrier must be 'int' or 'nat'")
-        self.values = values
-        self.sid = f"tropical-{values}"
-        semifield = values == "int"
+    def __init__(self, sid: str, values: str):
+        self.sid = sid
+        self.values = MONOIDS[values]
         self.caps = Capabilities(mc=True, entire=True, zerosumfree=True,
-                                 semifield=semifield)
+                                 semifield=self.values.inverses)
 
     def _zero(self):
         return None
@@ -254,39 +224,19 @@ class TropicalSemiring(Semiring):
     def _one(self):
         return 0
 
-    def _add(self, p, q):
-        if p is None:
-            return q
-        if q is None:
-            return p
-        return min(p, q)
-
-    def _mul(self, p, q):
-        if p is None or q is None:
-            return None
-        return p + q
+    # min and + of the value monoid extended by inf
+    _add = staticmethod(_raw_min)
+    _mul = staticmethod(_raw_add)
 
     def _canon(self, p):
-        if p is None:
-            return None
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        if not isinstance(p, int):
-            raise ValueError(f"tropical payload must be an int or None, got {p!r}")
-        if self.values == "nat" and p < 0:
-            raise ValueError("tropical-nat payloads are nonnegative")
-        return p
+        return None if p is None else self.values.check(p)
 
     def _is_unit(self, p):
-        if self.values == "int":
-            return p is not None
-        return p == 0
+        return p is not None and (self.values.inverses or p == 0)
 
     def _inv(self, p):
-        if p is None:
-            raise UnsupportedOperationError(f"{self.sid}: inf is not invertible")
-        if self.values == "nat" and p != 0:
-            raise UnsupportedOperationError("tropical-nat: only 0 is invertible")
+        if not self._is_unit(p):
+            raise UnsupportedOperationError(f"{self.sid}: {self._text(p)} is not invertible")
         return -p
 
     def infinity(self):
@@ -296,15 +246,12 @@ class TropicalSemiring(Semiring):
         return "inf" if p is None else str(p)
 
     def _sampler(self, rng, bound):
-        b = max(1, bound)
-        value = _uniform(rng, 0, b) if self.values == "nat" else _uniform(rng, -b, b)
+        value = self.values.draw(rng, max(1, bound))
         random = rng.random
         return lambda: None if random() < 0.12 else value()
 
     def _preamble(self):
-        if self.values == "nat":
-            return (None, 0, 1, 2, 7)
-        return (None, 0, 1, -1, 3)
+        return (None, 0, 1) + ((-1, 3) if self.values.inverses else (2, 7))
 
 
 class IdealsZSemiring(NatSemiring):
@@ -330,19 +277,15 @@ class MonoidSemiring(Semiring):
     exponent; that tuple is the canonical form.
     """
 
-    def __init__(self, base: Semiring, exponents: str, kind: str):
-        if exponents not in ("N0", "Z", "Q"):
+    def __init__(self, sid: str, base: Semiring, exponents: str):
+        monoid = MONOIDS.get(exponents)
+        if monoid is None or monoid.draw is None:
             raise ValueError(f"unsupported exponent monoid {exponents!r}")
         if not base.structural_eq:
             raise ValueError("coefficient base must have structural equality")
+        self.sid = sid
         self.base = base
-        self.exponents = exponents
-        if kind == "poly":
-            self.sid = f"poly({base.sid})"
-        elif kind == "laurent":
-            self.sid = f"laurent({base.sid})"
-        else:
-            self.sid = f"monoid({base.sid},{exponents})"
+        self.exponents = monoid
         self.caps = Capabilities(
             mc=base.caps.mc and base.additively_cancellative,
             entire=base.caps.entire,
@@ -351,25 +294,11 @@ class MonoidSemiring(Semiring):
         )
         self._bzero = base._zero()
 
-    def _check_exp(self, e):
-        if self.exponents == "N0":
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"{self.sid}: exponents must be nonnegative ints")
-        elif self.exponents == "Z":
-            if not isinstance(e, int):
-                raise ValueError(f"{self.sid}: exponents must be ints")
-        else:
-            if isinstance(e, int):
-                e = Fraction(e)
-            if not isinstance(e, Fraction):
-                raise ValueError(f"{self.sid}: exponents must be rationals")
-        return e
-
     def _zero(self):
         return ()
 
     def _one(self):
-        return ((0 if self.exponents != "Q" else Fraction(0), self.base._one()),)
+        return self.monomial_payload(0, self.base._one())
 
     # Payloads sort as plain tuples: exponents are unique keys, so the
     # coefficients are never compared.
@@ -409,7 +338,7 @@ class MonoidSemiring(Semiring):
             p = p.items()
         acc = {}
         for e, c in p:
-            e = self._check_exp(e)
+            e = self.exponents.check(e)
             c = self.base._canon(c)
             if e in acc:
                 c = self.base._add(acc[e], c)
@@ -423,9 +352,7 @@ class MonoidSemiring(Semiring):
         if len(p) != 1:
             return False
         e, c = p[0]
-        if self.exponents == "N0" and e != 0:
-            return False
-        return self.base._is_unit(c)
+        return (self.exponents.inverses or e == 0) and self.base._is_unit(c)
 
     def _inv(self, p):
         if not self._is_unit(p):
@@ -434,16 +361,13 @@ class MonoidSemiring(Semiring):
         return ((-e, self.base._inv(c)),)
 
     def _from_literal(self, q):
-        c = self.base._from_literal(q)
-        if self.base._eq(c, self._bzero):
-            return ()
-        return ((0 if self.exponents != "Q" else Fraction(0), c),)
+        return self.monomial_payload(0, self.base._from_literal(q))
 
     def indeterminate(self):
         return Element(self, self.monomial_payload(1, self.base._one()))
 
     def monomial_payload(self, e, c):
-        e = self._check_exp(e)
+        e = self.exponents.check(e)
         c = self.base._canon(c)
         if self.base._eq(c, self._bzero):
             return ()
@@ -480,14 +404,7 @@ class MonoidSemiring(Semiring):
         return " + ".join(terms)
 
     def _sampler(self, rng, bound):
-        cap = min(max(1, bound), 4)
-        if self.exponents == "N0":
-            exponent = _uniform(rng, 0, cap)
-        elif self.exponents == "Z":
-            exponent = _uniform(rng, -cap, cap)
-        else:
-            num, den = _uniform(rng, -cap, cap), _uniform(rng, 0, 2)
-            exponent = lambda: Fraction(num(), (1, 2, 3)[den()])
+        exponent = self.exponents.draw(rng, min(max(1, bound), 4))
         terms = _uniform(rng, 0, 3)
         coefficient = self.base._nonzero_sampler(rng, bound)
 
@@ -509,7 +426,7 @@ class MonoidSemiring(Semiring):
         x = self.monomial_payload(1, self.base._one())
         one_plus_x = self._add(one, x)
         pre = [(), one, x, one_plus_x]
-        if self.exponents in ("Z", "Q"):
+        if self.exponents.inverses:
             pre.append(self.monomial_payload(-1, self.base._one()))
         return tuple(pre)
 
@@ -628,8 +545,8 @@ _BASE_FACTORIES = {
     "qnn": QnnSemiring,
     "bool-poly": BoolPolySemiring,
     "fuzzy": FuzzySemiring,
-    "tropical-nat": lambda: TropicalSemiring("nat"),
-    "tropical-int": lambda: TropicalSemiring("int"),
+    "tropical-nat": lambda: TropicalSemiring("tropical-nat", "N0"),
+    "tropical-int": lambda: TropicalSemiring("tropical-int", "Z"),
     "ideals-z": IdealsZSemiring,
 }
 
@@ -659,21 +576,25 @@ def split_top_level(s: str) -> list[str]:
     return parts
 
 
+# descriptor name -> (argument count, maker from the id, base and other arguments)
+_DESCRIPTORS = {
+    "poly": (1, lambda sid, base: MonoidSemiring(sid, base, "N0")),
+    "laurent": (1, lambda sid, base: MonoidSemiring(sid, base, "Z")),
+    "monoid": (2, MonoidSemiring),
+    "fractions": (1, lambda sid, base: FractionSemiring(base)),
+}
+
+
 def _build(sid: str) -> Semiring:
     if "(" in sid:
         if not sid.endswith(")"):
             raise ValueError(f"malformed instance descriptor {sid!r}")
         name, inner = sid.split("(", 1)
         args = split_top_level(inner[:-1])
-        if name == "poly" and len(args) == 1:
-            return MonoidSemiring(get_instance(args[0]), "N0", "poly")
-        if name == "laurent" and len(args) == 1:
-            return MonoidSemiring(get_instance(args[0]), "Z", "laurent")
-        if name == "monoid" and len(args) == 2:
-            return MonoidSemiring(get_instance(args[0]), args[1], "monoid")
-        if name == "fractions" and len(args) == 1:
-            return FractionSemiring(get_instance(args[0]))
-        raise ValueError(f"unknown instance descriptor {sid!r}")
+        arity, make = _DESCRIPTORS.get(name, (None, None))
+        if len(args) != arity:
+            raise ValueError(f"unknown instance descriptor {sid!r}")
+        return make(sid, get_instance(args[0]), *args[1:])
     factory = _BASE_FACTORIES.get(sid)
     if factory is None:
         raise ValueError(f"unknown instance descriptor {sid!r}")

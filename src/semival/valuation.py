@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable
 
 from .extended import (
-    GROUP_COMPLETION,
+    MONOIDS,
     DomainMismatchError,
     ExtendedValue,
     Raw,
@@ -291,9 +291,9 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
 
 
-def _monomial_order(rule: str, source: MonoidSemiring, domain: str,
-                    raw: Callable) -> Valuation:
-    """A rule reading one end of a polynomial-style element's exponents."""
+def _monomial_order(rule: str, source: MonoidSemiring, raw: Callable) -> Valuation:
+    """A rule reading one end of a polynomial-style element's exponents,
+    valued in the exponent monoid."""
     def unit_in_sv(x):
         # inside the nonnegative part only exponent-zero monomials with unit
         # coefficients are invertible, whatever the ambient exponent monoid
@@ -303,7 +303,7 @@ def _monomial_order(rule: str, source: MonoidSemiring, domain: str,
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
-    return Valuation(rule, source, domain, raw,
+    return Valuation(rule, source, source.exponents.name, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -312,24 +312,22 @@ def _make_low_order(source: Semiring) -> Valuation:
         raise ValueError("low-order needs a polynomial-style source")
     if not source.base.caps.entire:
         raise ValueError("low-order needs an entire coefficient base")
-    return _monomial_order("low-order", source, source.exponents, source.low_order)
+    return _monomial_order("low-order", source, source.low_order)
 
 
 def _make_deg_high(source: Semiring) -> Valuation:
-    if not isinstance(source, MonoidSemiring) or source.exponents != "Z":
+    if not isinstance(source, MonoidSemiring) or source.exponents.name != "Z":
         raise ValueError("deg-high is defined on Laurent-style sources")
     if not (source.base.caps.entire and source.base.caps.zerosumfree):
         raise ValueError("deg-high needs an entire zerosumfree coefficient base")
-    return _monomial_order("deg-high", source, "Z", source.high_order)
+    return _monomial_order("deg-high", source, source.high_order)
 
 
 def _make_tropical_id(source: Semiring) -> Valuation:
     if not isinstance(source, TropicalSemiring):
         raise ValueError("tropical-id is defined on the tropical instances")
-    dom = "Z" if source.values == "int" else "N0"
-
     # the payload is the value itself, None standing for inf
-    return Valuation("tropical-id", source, dom, lambda p: p,
+    return Valuation("tropical-id", source, source.values.name, lambda p: p,
                      unit_in_sv=lambda x: x.payload == 0,
                      element_with_value=lambda m: source.element(m))
 
@@ -355,7 +353,7 @@ def fraction_extension(rule: str, v: Valuation, frs: FractionSemiring) -> Valuat
         den = v.element_with_value(-g if g < 0 else 0)
         return Element(frs, frs._canon((num.payload, den.payload)))
 
-    return Valuation(rule, frs, GROUP_COMPLETION[v.domain], raw,
+    return Valuation(rule, frs, MONOIDS[v.domain].completion, raw,
                      unit_in_sv=unit_in_sv, element_with_value=ewv)
 
 
@@ -366,7 +364,7 @@ def _make_deg_frac(source: Semiring) -> Valuation:
     if source.sid != "fractions(poly(nat))":
         raise ValueError("deg-frac is defined on fractions(poly(nat))")
     poly = source.base
-    degree = _monomial_order("degree", poly, "N0", poly.high_order)
+    degree = _monomial_order("degree", poly, poly.high_order)
     return fraction_extension("deg-frac", degree, source)
 
 

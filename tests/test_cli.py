@@ -108,12 +108,14 @@ def test_check_total_order(capsys):
                        "--property", "total-order", "--samples", "100")
     assert code == 1
     assert out == ("ideals-total-order[nat]: counterexample (between ideal[3, 5] "
-                   "and ideal[2, 11]) witness 3, 2 [seed=1 samples=100 size=50]\n")
+                   "and ideal[2, 11]) witness 3, 2 [seed=1 samples=90 size=12]\n")
     code, out, _ = run(capsys, "check", "--semiring", "nat", "--property",
                        "total-order", "--samples", "100", "--output", "json")
     assert code == 1
     payload = json.loads(out)
     assert (payload["verdict"], payload["witness"]) == ("counterexample", ["3", "2"])
+    # the bound is the pool the check drew, not the requested one
+    assert payload["bound"] == {"seed": 1, "samples": 90, "size_bound": 12}
 
 
 def test_factor_and_divmod(capsys):

@@ -541,6 +541,16 @@ def test_oracle_agrees_with_reference(carrier):
     assert verdicts == {True, False}
 
 
+def test_an_ideal_refuses_a_structure_on_another_carrier():
+    from semival.dvs import standard_dvs_structures
+    D = next(D for D in standard_dvs_structures() if D.name == "qnn at 5")
+    nat = get_instance("nat")
+    with pytest.raises(ValueError, match="^qnn at 5 is not a structure on nat$"):
+        make_ideal(nat, [nat.element(25)], dvs=D)
+    I = make_ideal(D.ambient, [D.ambient.element(25)], dvs=D)
+    assert I.contains(D.ambient.element(50)) and not I.contains(D.ambient.element(5))
+
+
 @pytest.mark.parametrize("carrier", ["tropical-nat", "fuzzy", "qnn", "qnn at 5",
                                      "tropical naturals", "degree-bounded fractions",
                                      "integer ideals at (5)"])

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semival.extended import MONOIDS, ExtendedValue
 from semival.instances import ALL_REGISTERED_IDS, _randint, _uniform, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
 from semival.semiring import InstanceMismatchError, Semiring, UnsupportedOperationError
+from semival.valuation import get_valuation
 
 
 def test_registry_resolves_each_id_once():
@@ -75,6 +77,46 @@ def test_monoid_semiring_negative_exponents():
     monq = get_instance("monoid(nat,Q)")
     half_x = monq.element(monq.monomial_payload(Fraction(1, 2), 1))
     assert monq.mul(half_x, half_x) == monq.indeterminate()
+
+
+TROPICAL = {"N0": "tropical-nat", "Z": "tropical-int"}
+
+
+@pytest.mark.parametrize("name, member, non_member", [
+    ("trivial", 0, 1), ("N0", 3, -1), ("Z", -2, Fraction(1, 2)),
+    ("Q", Fraction(-1, 2), 0.5)])
+def test_one_membership_test_per_monoid(name, member, non_member):
+    # values, monoid exponents and tropical values: the same test
+    makers = [lambda v: ExtendedValue.fin(name, v).value]
+    if name != "trivial":
+        mon = get_instance(f"monoid(nat,{name})")
+        makers.append(lambda v: mon.element({v: 1}).payload[0][0])
+    if name in TROPICAL:
+        makers.append(lambda v: get_instance(TROPICAL[name]).element(v).payload)
+    for make in makers:
+        assert make(member) == member
+        with pytest.raises(ValueError) as refused:
+            make(non_member)
+        assert str(refused.value) == f"{non_member!r} is not in {name}"
+
+
+@pytest.mark.parametrize("name", ["N0", "Z", "Q"])
+def test_inverse_flag_agrees_with_x_being_a_unit(name):
+    mon = get_instance(f"monoid(nat,{name})")
+    assert mon.is_unit(mon.indeterminate()) == MONOIDS[name].inverses
+
+
+@pytest.mark.parametrize("name", sorted(TROPICAL))
+def test_tropical_carriers_read_their_monoid(name):
+    trop = get_instance(TROPICAL[name])
+    assert trop.caps.semifield == MONOIDS[name].inverses
+    assert get_valuation("tropical-id", trop).domain == name
+
+
+@pytest.mark.parametrize("exponents", ["R", "trivial", "n0"])
+def test_unregistered_exponent_monoids_are_refused(exponents):
+    with pytest.raises(ValueError, match=rf"^unsupported exponent monoid '{exponents}'$"):
+        get_instance(f"monoid(nat,{exponents})")
 
 
 def test_unit_closed_forms():

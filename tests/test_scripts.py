@@ -27,3 +27,17 @@ def test_script_output_is_pinned(script):
                          capture_output=True, timeout=120, check=True)
     assert out.stderr == b""
     assert hashlib.sha256(out.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]
+
+
+def test_surface_count_lists_every_module():
+    # its counts change with every change, so only its shape is checked
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "surface_count.py")],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stderr == ""
+    rows = dict(line.rsplit(None, 1) for line in out.stdout.splitlines()
+                if not line.startswith("=="))
+    for path in (SRC / "semival").glob("*.py"):
+        assert int(rows[path.name]) == len(path.read_text().splitlines())
+    for name in ("add_argument calls", "defaulted parameters", "dataclass fields",
+                 "environment reads", "total"):
+        assert int(rows[name]) >= 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from semival.dvs import standard_dvs_structures, value_group_valuation
-from semival.extended import DomainMismatchError, ExtendedValue, _check_scalar
+from semival.extended import MONOIDS, DomainMismatchError, ExtendedValue
 from semival.fracfield import extend_valuation
 from semival.instances import get_instance
 from semival.reports import SampleSpec
@@ -146,7 +146,7 @@ def test_rule_values_pass_domain_validation(rule, sid):
                 val = w.fn(z)
                 assert val.domain == w.domain
                 if val.value is not None:
-                    assert _check_scalar(val.domain, val.value) == val.value
+                    assert MONOIDS[val.domain].check(val.value) == val.value
                 assert ExtendedValue(val.domain, val.value) == val
 
 
