@@ -37,7 +37,7 @@ from .ideals import (
     positive_ideal,
 )
 from .instances import get_instance
-from .laws import check_semiring_axioms, probe_mc_entire
+from .laws import check_semiring_axioms, probe_entire, probe_mc
 from .reports import LawReport, SampleSpec
 from .sampling import stream
 from .valuation import (
@@ -112,6 +112,7 @@ def _report(args, report: LawReport, prop: str | None, result: str | None,
         "bound": {"seed": spec.seed, "samples": spec.count,
                   "size_bound": spec.size_bound},
         "witness": [str(w) for w in report.witness],
+        "detail": report.detail,
         "result": result,
         "elapsed_ms": int((time.monotonic() - start) * 1000),
     }
@@ -155,12 +156,18 @@ def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport
         inst = instance
     ideals = [make_ideal(inst, pool[i: i + 2], dvs=dvs)
               for i in range(0, len(pool) - 1, 2)]
+    k = len(ideals)
+    pairs = k * (k - 1) // 2
     found = first_incomparable_pair(ideals, spec.count)
     if found is None:
-        return LawReport(law, "holds", pool_spec)
+        return LawReport(law, "holds", pool_spec,
+                         detail=f"compared {min(spec.count, pairs)} of {pairs} pairs")
     i, j, report = found
+    # (i, j) is pair number i(2k-i-1)/2 + j-i of combinations(range(k), 2)
+    compared = i * (2 * k - i - 1) // 2 + j - i
     return LawReport(law, "counterexample", pool_spec, report.witness,
-                     f"between {ideals[i]} and {ideals[j]}")
+                     f"between {ideals[i]} and {ideals[j]}; "
+                     f"compared {compared} of {pairs} pairs")
 
 
 def _gaussian(args, instance, valuation, spec: SampleSpec) -> LawReport:
@@ -180,8 +187,8 @@ def _dedekind_mertens(args, instance, valuation, spec: SampleSpec) -> LawReport:
 # error when the check needs --valuation, else None); in --help order
 CHECKS = {
     "axioms": (_axioms, None),
-    "mc": (lambda args, inst, v, spec: probe_mc_entire(inst, spec)[0], None),
-    "entire": (lambda args, inst, v, spec: probe_mc_entire(inst, spec)[1], None),
+    "mc": (lambda args, inst, v, spec: probe_mc(inst, spec), None),
+    "entire": (lambda args, inst, v, spec: probe_entire(inst, spec), None),
     "min-property": (_min_property, "min-property needs --valuation"),
     "subtractive": (lambda args, inst, v, spec:
                     is_subtractive_bounded(positive_ideal(v), spec),

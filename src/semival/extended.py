@@ -49,8 +49,11 @@ def _as_natural(v):
 
 
 def _rational_draw(rng, cap: int):
-    num, den = _uniform(rng, -cap, cap), _uniform(rng, 0, 2)
-    return lambda: Fraction(num(), (1, 2, 3)[den()])
+    """Fraction(n, d) for n uniform in [-cap, cap] and d in (1, 2, 3), drawn
+    n first, from a table of every value it can produce."""
+    table = [[Fraction(n, d) for d in (1, 2, 3)] for n in range(-cap, cap + 1)]
+    num, den = _uniform(rng, 0, 2 * cap), _uniform(rng, 0, 2)
+    return lambda: table[num()][den()]
 
 
 class Monoid:

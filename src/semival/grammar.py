@@ -232,12 +232,19 @@ def _eval_element(node, instance: Semiring) -> Element:
 
 def _depth_guarded(parse):
     """Report input nested past the interpreter's recursion limit as a
-    parse error instead of a crash."""
+    parse error instead of a crash.  Only the grammar's own recursion, the
+    parser and the tree walks, counts as nesting: a RecursionError raised
+    inside the arithmetic they call propagates as it is."""
     @wraps(parse)
     def guarded(text, *args, **kwargs):
         try:
             return parse(text, *args, **kwargs)
-        except RecursionError:
+        except RecursionError as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            if tb.tb_frame.f_code.co_filename != __file__:
+                raise
             raise ParseError("expression nests too deeply", 0) from None
     return guarded
 

@@ -22,12 +22,14 @@ exactly one instance object.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .extended import MONOIDS, _raw_add, _raw_min, _uniform
 from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
 
 _N0 = MONOIDS["N0"]
+_EXPONENT = operator.itemgetter(0)
 
 
 def _randint(rng, a: int, b: int) -> int:
@@ -49,11 +51,8 @@ class NatSemiring(Semiring):
     def _one(self):
         return 1
 
-    def _add(self, p, q):
-        return p + q
-
-    def _mul(self, p, q):
-        return p * q
+    _add = staticmethod(operator.add)
+    _mul = staticmethod(operator.mul)
 
     def _canon(self, p):
         return _N0.check(p)
@@ -63,6 +62,23 @@ class NatSemiring(Semiring):
 
     def _sampler(self, rng, bound):
         return _uniform(rng, 0, max(1, bound))
+
+    def _nonzero_sampler(self, rng, bound):
+        # the generic retry loop over _uniform(rng, 0, b), inlined: the same
+        # getrandbits sequence, for the hottest draw of all
+        n = max(1, bound) + 1
+        k = n.bit_length()
+        getrandbits = rng.getrandbits
+
+        def nonzero():
+            for _ in range(64):
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                if r:
+                    return r
+            return 1
+        return nonzero
 
     def _preamble(self):
         return (0, 1, 2, 3, 5)
@@ -81,11 +97,8 @@ class QnnSemiring(Semiring):
     def _one(self):
         return Fraction(1)
 
-    def _add(self, p, q):
-        return p + q
-
-    def _mul(self, p, q):
-        return p * q
+    _add = staticmethod(operator.add)
+    _mul = staticmethod(operator.mul)
 
     def _canon(self, p):
         if isinstance(p, int):
@@ -261,8 +274,7 @@ class IdealsZSemiring(NatSemiring):
     sid = "ideals-z"
     additively_cancellative = False
 
-    def _add(self, p, q):
-        return math.gcd(p, q)
+    _add = staticmethod(math.gcd)
 
     def _preamble(self):
         return (0, 1, 2, 5, 6)
@@ -300,38 +312,57 @@ class MonoidSemiring(Semiring):
     def _one(self):
         return self.monomial_payload(0, self.base._one())
 
-    # Payloads sort as plain tuples: exponents are unique keys, so the
-    # coefficients are never compared.
+    # Exponents are unique keys, so payloads sort by exponent alone, which
+    # spares a rational exponent the tuple's == before its <.  The base has
+    # structural equality, so a coefficient is zero exactly when it == the
+    # base zero.
 
     def _add(self, p, q):
+        if not p:
+            return q
+        if not q:
+            return p
         acc = dict(p)
-        badd, beq, bzero = self.base._add, self.base._eq, self._bzero
+        badd, bzero = self.base._add, self._bzero
         for e, c in q:
             if e in acc:
                 s = badd(acc[e], c)
-                if beq(s, bzero):
+                if s == bzero:
                     del acc[e]
                 else:
                     acc[e] = s
             else:
                 acc[e] = c
-        return tuple(sorted(acc.items()))
+        return tuple(sorted(acc.items(), key=_EXPONENT))
 
     def _mul(self, p, q):
+        if len(p) < len(q):
+            p, q = q, p
+        if not q:
+            return ()
+        bmul, bzero = self.base._mul, self._bzero
+        if len(q) == 1:
+            # adding a fixed exponent keeps the order: no dict, no sort
+            (e2, c2), = q
+            out = []
+            for e1, c1 in p:
+                c = bmul(c1, c2)
+                if c != bzero:
+                    out.append((e1 + e2, c))
+            return tuple(out)
         acc = {}
-        badd, bmul, beq, bzero = (self.base._add, self.base._mul, self.base._eq,
-                                  self._bzero)
+        badd = self.base._add
         for e1, c1 in p:
             for e2, c2 in q:
                 e = e1 + e2
                 c = bmul(c1, c2)
                 if e in acc:
                     c = badd(acc[e], c)
-                if beq(c, bzero):
+                if c == bzero:
                     acc.pop(e, None)
                 else:
                     acc[e] = c
-        return tuple(sorted(acc.items()))
+        return tuple(sorted(acc.items(), key=_EXPONENT))
 
     def _canon(self, p):
         if isinstance(p, dict):
@@ -346,7 +377,7 @@ class MonoidSemiring(Semiring):
                 acc.pop(e, None)
             else:
                 acc[e] = c
-        return tuple(sorted(acc.items()))
+        return tuple(sorted(acc.items(), key=_EXPONENT))
 
     def _is_unit(self, p):
         if len(p) != 1:
@@ -414,11 +445,10 @@ class MonoidSemiring(Semiring):
                 return ()
             if n == 1:
                 return ((exponent(), coefficient()),)
-            acc = {}
-            for _ in range(n):
-                e = exponent()
-                acc[e] = coefficient()
-            return tuple(sorted(acc.items()))
+            # each key is drawn before its value; a repeated exponent keeps
+            # its last coefficient
+            acc = {exponent(): coefficient() for _ in range(n)}
+            return tuple(sorted(acc.items(), key=_EXPONENT))
         return draw
 
     def _preamble(self):
@@ -446,7 +476,8 @@ class FractionSemiring(Semiring):
         self.sid = f"fractions({base.sid})"
         self.caps = Capabilities(mc=True, entire=True,
                                  zerosumfree=base.caps.zerosumfree, semifield=True)
-        self.structural_eq = base.payload_gcd is not None or base.caps.semifield
+        self._bsemifield = base.caps.semifield
+        self.structural_eq = base.payload_gcd is not None or self._bsemifield
         self._bzero = base._zero()
         self._bone = base._one()
 
@@ -467,7 +498,7 @@ class FractionSemiring(Semiring):
             raise ZeroDivisionError(f"{self.sid}: zero denominator")
         if base._eq(num, self._bzero):
             return (self._bzero, self._bone)
-        if base.caps.semifield:
+        if self._bsemifield:
             return (base._mul(num, base._inv(den)), self._bone)
         if base.payload_gcd is not None:
             g = base.payload_gcd(num, den)
@@ -477,8 +508,12 @@ class FractionSemiring(Semiring):
         return (num, den)
 
     def _eq(self, p, q):
+        # identical pairs are equal fractions; only distinct pairs over a
+        # carrier without canonical forms need cross multiplication
+        if p == q:
+            return True
         if self.structural_eq:
-            return p == q
+            return False
         return self.base._eq(self.base._mul(p[0], q[1]), self.base._mul(q[0], p[1]))
 
     def _add(self, p, q):

@@ -40,39 +40,42 @@ def check_semiring_axioms(instance: Semiring, spec: SampleSpec) -> LawReport:
     return law_holds(law, spec)
 
 
-def probe_mc_entire(instance: Semiring,
-                    spec: SampleSpec) -> tuple[LawReport, LawReport]:
-    """Sampled searches for cancellation failures and zero divisors.
-
-    Semifields are cancellative and entire by construction, so their
-    verdicts are returned analytically without sampling.
-    """
-    mc_law = f"mc[{instance.sid}]"
-    entire_law = f"entire[{instance.sid}]"
+def probe_mc(instance: Semiring, spec: SampleSpec) -> LawReport:
+    """Sampled search for a cancellation failure a*b = a*c with a != 0 and
+    b != c.  Semifields are cancellative by construction, so their verdict
+    is returned analytically without sampling."""
+    law = f"mc[{instance.sid}]"
     if instance.caps.semifield:
-        return (law_holds(mc_law, spec, "semifield", analytic=True),
-                law_holds(entire_law, spec, "semifield", analytic=True))
+        return law_holds(law, spec, "semifield", analytic=True)
     eq, mul, z = instance._eq, instance._mul, instance.zero.payload
-    mc = None
     for a, b, c in triple_stream(instance, spec, salt="mc"):
         p, q, r = a.payload, b.payload, c.payload
         if eq(p, z) or eq(q, r):
             continue
         if eq(mul(p, q), mul(p, r)):
-            mc = law_counterexample(mc_law, (a, b, c), spec,
-                                    "a*b = a*c with a != 0, b != c")
-            break
-    if mc is None:
-        mc = law_holds(mc_law, spec)
-    entire = None
+            return law_counterexample(law, (a, b, c), spec,
+                                      "a*b = a*c with a != 0, b != c")
+    return law_holds(law, spec)
+
+
+def probe_entire(instance: Semiring, spec: SampleSpec) -> LawReport:
+    """Sampled search for zero divisors a*b = 0 with a, b != 0.  Semifields
+    are entire by construction, so their verdict is returned analytically
+    without sampling."""
+    law = f"entire[{instance.sid}]"
+    if instance.caps.semifield:
+        return law_holds(law, spec, "semifield", analytic=True)
+    eq, mul, z = instance._eq, instance._mul, instance.zero.payload
     for a, b in pair_stream(instance, spec, salt="entire"):
         p, q = a.payload, b.payload
         if eq(p, z) or eq(q, z):
             continue
         if eq(mul(p, q), z):
-            entire = law_counterexample(entire_law, (a, b), spec,
-                                        "a*b = 0 with a, b != 0")
-            break
-    if entire is None:
-        entire = law_holds(entire_law, spec)
-    return mc, entire
+            return law_counterexample(law, (a, b), spec, "a*b = 0 with a, b != 0")
+    return law_holds(law, spec)
+
+
+def probe_mc_entire(instance: Semiring,
+                    spec: SampleSpec) -> tuple[LawReport, LawReport]:
+    """Both probes: (probe_mc, probe_entire)."""
+    return probe_mc(instance, spec), probe_entire(instance, spec)

@@ -9,6 +9,7 @@ concurrently.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +73,7 @@ class Element:
         return self.semiring.power(self, n)
 
     def is_zero(self) -> bool:
-        return self.semiring._eq(self.payload, self.semiring._zero())
+        return self.semiring._eq(self.payload, self.semiring.zero.payload)
 
     def __str__(self) -> str:
         return self.semiring._text(self.payload)
@@ -126,8 +127,7 @@ class Semiring(ABC):
     @abstractmethod
     def _preamble(self) -> tuple: ...
 
-    def _eq(self, p, q) -> bool:
-        return p == q
+    _eq = staticmethod(operator.eq)
 
     def _text(self, p) -> str:
         return str(p)

@@ -97,9 +97,15 @@ def test_check_units_zeroset_gap(capsys):
 
 
 def test_check_total_order(capsys):
-    code, _, _ = run(capsys, "check", "--semiring", "qnn", "--valuation",
-                     "vp:5", "--property", "total-order", "--samples", "100")
+    code, out, _ = run(capsys, "check", "--semiring", "qnn", "--valuation",
+                       "vp:5", "--property", "total-order", "--samples", "100")
     assert code == 0
+    # the report says how many of the pool's pairs it compared
+    assert out == ("ideals-total-order[qnn]: holds (compared 100 of 990 pairs) "
+                   "[seed=1 samples=90 size=12]\n")
+    code, out, _ = run(capsys, "check", "--semiring", "qnn", "--valuation",
+                       "vp:5", "--property", "total-order", "--samples", "5000")
+    assert code == 0 and "(compared 990 of 990 pairs)" in out
     code, out, _ = run(capsys, "check", "--semiring", "bool-poly",
                        "--property", "total-order", "--samples", "100")
     assert code == 1
@@ -108,7 +114,8 @@ def test_check_total_order(capsys):
                        "--property", "total-order", "--samples", "100")
     assert code == 1
     assert out == ("ideals-total-order[nat]: counterexample (between ideal[3, 5] "
-                   "and ideal[2, 11]) witness 3, 2 [seed=1 samples=90 size=12]\n")
+                   "and ideal[2, 11]; compared 42 of 780 pairs) witness 3, 2 "
+                   "[seed=1 samples=90 size=12]\n")
     code, out, _ = run(capsys, "check", "--semiring", "nat", "--property",
                        "total-order", "--samples", "100", "--output", "json")
     assert code == 1
@@ -116,6 +123,25 @@ def test_check_total_order(capsys):
     assert (payload["verdict"], payload["witness"]) == ("counterexample", ["3", "2"])
     # the bound is the pool the check drew, not the requested one
     assert payload["bound"] == {"seed": 1, "samples": 90, "size_bound": 12}
+    assert payload["detail"] == "between ideal[3, 5] and ideal[2, 11]; compared 42 of 780 pairs"
+    code, out, _ = run(capsys, "check", "--semiring", "tropical-nat", "--property",
+                       "total-order", "--samples", "10", "--output", "json")
+    assert code == 0 and json.loads(out)["detail"] == "compared 10 of 703 pairs"
+
+
+def test_check_total_order_counts_the_pairs_it_compares(capsys, monkeypatch):
+    import semival.ideals as ideals
+    calls = []
+    real = ideals.ideals_comparable
+    monkeypatch.setattr(ideals, "ideals_comparable",
+                        lambda I, J, spec=None: calls.append(1) or real(I, J, spec))
+    for sid, samples, compared in (("nat", "100", 42), ("bool-poly", "100", 34),
+                                   ("tropical-nat", "25", 25)):
+        calls.clear()
+        code, out, _ = run(capsys, "check", "--semiring", sid, "--property",
+                           "total-order", "--samples", samples)
+        assert code in (0, 1) and f"compared {compared} of " in out
+        assert len(calls) == compared
 
 
 def test_factor_and_divmod(capsys):
@@ -213,6 +239,20 @@ def test_deep_nesting_is_a_parse_error(capsys):
     code, _, err = run(capsys, "ideal", "--semiring", "nat", "--op", "contains",
                        f"ideal[{deep}]", "5")
     assert code == 2 and "expression nests too deeply" in err
+
+
+def test_check_mc_draws_no_entire_stream(capsys, monkeypatch):
+    import semival.laws as laws
+    salts = []
+    real = laws.pair_stream
+    monkeypatch.setattr(laws, "pair_stream", lambda *a, salt="", **k:
+                        salts.append(salt) or real(*a, salt=salt, **k))
+    for prop in ("mc", "entire"):
+        salts.clear()
+        code, _, _ = run(capsys, "check", "--semiring", "monoid(nat,Q)",
+                         "--property", prop, "--samples", "50")
+        assert code == 0
+        assert salts == ([] if prop == "mc" else ["entire"])
 
 
 def test_json_reports_are_deterministic(capsys):
@@ -344,5 +384,5 @@ def test_running_out_of_memory_or_stack_exits_2(capsys, monkeypatch, error):
     monkeypatch.setattr(Semiring, "power", exhausted)
     code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
                          "vp:5", "2^99999999999")
-    # the parser reports a RecursionError under it as nesting too deeply
-    assert code == 2 and out == "" and err.startswith("error: ")
+    # a RecursionError in the arithmetic is no nesting: it reaches main as it is
+    assert (code, out, err) == (2, "", f"error: {error.__name__}\n")

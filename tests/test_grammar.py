@@ -13,6 +13,7 @@ from semival.ideals import IntervalIdeal
 from semival.instances import get_instance
 from semival.reports import SampleSpec
 from semival.sampling import stream
+from semival.semiring import Semiring
 
 
 def test_polynomial_parsing():
@@ -136,6 +137,19 @@ def test_deep_nesting_raises_parse_error():
         with pytest.raises(ParseError, match="nests too deeply"):
             parse(text, nat)
     assert parse_element("(" * 50 + "1" + ")" * 50, nat) == nat.one
+
+
+def test_recursion_in_the_arithmetic_is_no_nesting(monkeypatch):
+    def exhausted(self, a, n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(Semiring, "power", exhausted)
+    nat = get_instance("nat")
+    with pytest.raises(RecursionError):
+        parse_element("2^99999999999", nat)
+    # a long flat sum nests only in the tree walk: still a parse error
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_element("+".join(["1"] * 5000), nat)
 
 
 def test_ideal_literals():

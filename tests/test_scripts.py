@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from semival.dvs import standard_dvs_structures
+from semival.instances import ALL_REGISTERED_IDS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -41,3 +44,21 @@ def test_surface_count_lists_every_module():
     for name in ("add_argument calls", "defaulted parameters", "dataclass fields",
                  "environment reads", "total"):
         assert int(rows[name]) >= 0
+
+
+def test_stream_cost_lists_every_stream():
+    # its figures are timings, so only its rows are checked
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "stream_cost.py")],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert lines[1].split() == ["stream", "us/element", "us/_add", "us/_mul", "us/_eq"]
+    rows = {line[:36].strip(): line[36:].split() for line in lines[3:]}
+    labels = list(ALL_REGISTERED_IDS)
+    labels += [f"carrier: {D.name}" for D in standard_dvs_structures()]
+    assert list(rows) == labels
+    for figures in rows.values():
+        assert len(figures) == 4 and all(float(f) >= 0 for f in figures)
