@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Count the size of the library: the lines of each module under
-src/semival, and, over src/semival and scripts/, the settable values a
-change can add: add_argument calls, parameters with a default (in functions
-and lambdas), dataclass fields and environment reads.
+src/semival, and, over src/semival and scripts/, the class definitions and
+the settable values a change can add: add_argument calls, parameters with a
+default (in functions and lambdas), dataclass fields and environment reads.
 
 The counts change with every change to the code, so compare the output of
 two checkouts rather than pinning it.
@@ -29,7 +29,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def surface(tree: ast.AST) -> dict[str, int]:
-    counts = dict.fromkeys(("add_argument calls", "defaulted parameters",
+    counts = dict.fromkeys(("classes", "add_argument calls", "defaulted parameters",
                             "dataclass fields", "environment reads"), 0)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -39,9 +39,11 @@ def surface(tree: ast.AST) -> dict[str, int]:
             args = node.args
             counts["defaulted parameters"] += (
                 len(args.defaults) + sum(d is not None for d in args.kw_defaults))
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            counts["dataclass fields"] += sum(
-                isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        elif isinstance(node, ast.ClassDef):
+            counts["classes"] += 1
+            if _is_dataclass(node):
+                counts["dataclass fields"] += sum(
+                    isinstance(stmt, ast.AnnAssign) for stmt in node.body)
         elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
             counts["environment reads"] += 1
     return counts

@@ -134,14 +134,6 @@ def _axioms(args, instance, valuation, spec: SampleSpec) -> LawReport:
     return check_semiring_axioms(instance, spec)
 
 
-def _min_property(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    report = check_min_property(valuation, spec)
-    if report.holds:
-        return LawReport("min-property", "holds", spec)
-    return LawReport("min-property", "counterexample", spec, (report.x, report.y),
-                     f"v(x)={report.vx} v(y)={report.vy} v(x+y)={report.vsum}")
-
-
 def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport:
     law = f"ideals-total-order[{instance.sid}]"
     dvs = None
@@ -189,7 +181,8 @@ CHECKS = {
     "axioms": (_axioms, None),
     "mc": (lambda args, inst, v, spec: probe_mc(inst, spec), None),
     "entire": (lambda args, inst, v, spec: probe_entire(inst, spec), None),
-    "min-property": (_min_property, "min-property needs --valuation"),
+    "min-property": (lambda args, inst, v, spec: check_min_property(v, spec),
+                     "min-property needs --valuation"),
     "subtractive": (lambda args, inst, v, spec:
                     is_subtractive_bounded(positive_ideal(v), spec),
                     "subtractive needs --valuation (checks the positive ideal)"),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, islice, product
 
 from .dvs import DVSStructure
+from .extended import _uniform
 from .ideals import (
     FinGenIdeal,
     ideal_power,
@@ -20,7 +21,7 @@ from .ideals import (
     ideal_subset,
     make_ideal,
 )
-from .instances import FractionSemiring, _randint
+from .instances import FractionSemiring
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
 from .semiring import Element, Semiring
@@ -115,6 +116,15 @@ def _equal_ideals(law: str, pair: tuple, I: FinGenIdeal, J: FinGenIdeal,
     return law_holds(law, spec)
 
 
+def dedekind_mertens_sides(f: ContentPolynomial, g: ContentPolynomial,
+                           dvs: DVSStructure | None) -> tuple[FinGenIdeal, FinGenIdeal]:
+    """The sides c(f)^(m+1) c(g) and c(f)^m c(fg), m = deg g, for nonzero f, g."""
+    m = g.degree()
+    cf = content(f, dvs)
+    return (ideal_product(ideal_power(cf, m + 1), content(g, dvs)),
+            ideal_product(ideal_power(cf, m), content(cp_mul(f, g), dvs)))
+
+
 def dedekind_mertens_check(f: ContentPolynomial, g: ContentPolynomial,
                            dvs: DVSStructure | None = None,
                            spec: SampleSpec | None = None) -> LawReport:
@@ -123,10 +133,7 @@ def dedekind_mertens_check(f: ContentPolynomial, g: ContentPolynomial,
     law = f"dedekind-mertens[{f.instance.sid}]"
     if f.is_zero() or g.is_zero():
         return law_holds(law, spec, "one side is zero")
-    m = g.degree()
-    cf = content(f, dvs)
-    lhs = ideal_product(ideal_power(cf, m + 1), content(g, dvs))
-    rhs = ideal_product(ideal_power(cf, m), content(cp_mul(f, g), dvs))
+    lhs, rhs = dedekind_mertens_sides(f, g, dvs)
     return _equal_ideals(law, (f, g), lhs, rhs, (
         "left side escapes the right", "right side escapes the left"), spec)
 
@@ -163,8 +170,9 @@ def sample_content_polys(carrier, spec: SampleSpec,
         polys.append(make_content_poly(instance, [c0, c1]))
     idx = 0
     rng = random.Random(f"{spec.seed}:{instance.sid}:degrees")
+    degree = _uniform(rng, 0, max_degree)
     while len(polys) < spec.count and idx + max_degree < len(coeffs):
-        deg = _randint(rng, 0, max_degree)
+        deg = degree()
         polys.append(make_content_poly(instance, coeffs[idx: idx + deg + 1]))
         idx += deg + 1
     return polys[: spec.count]

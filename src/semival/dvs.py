@@ -44,13 +44,13 @@ class DVSStructure:
 
     def __post_init__(self):
         v = self.valuation
-        object.__setattr__(self, "uniformizer", v.element_with_value(1))
         if v.domain != "Z":
             raise ValueError("a discrete structure needs integer values")
         if not v.source.caps.semifield:
             raise ValueError("the ambient instance must be a semifield with a "
                              "surjective valuation")
-        if valuate(v, self.uniformizer) != ExtendedValue.fin("Z", 1):
+        object.__setattr__(self, "uniformizer", v.element_with_value(1))
+        if valuate(v, self.uniformizer) != ExtendedValue("Z", 1):
             raise ValueError("the uniformizer must have value 1")
         if v.unit_in_sv(self.uniformizer):
             raise ValueError("the uniformizer cannot be a unit")

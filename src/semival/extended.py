@@ -133,18 +133,10 @@ class ExtendedValue:
             object.__setattr__(self, "value", monoid.check(self.value))
 
     @classmethod
-    def fin(cls, domain: str, value) -> "ExtendedValue":
-        return cls(domain, value)
-
-    @classmethod
-    def inf(cls, domain: str) -> "ExtendedValue":
-        return cls(domain, None)
-
-    @classmethod
     def _unchecked(cls, domain: str, value) -> "ExtendedValue":
         """A value that lies in the domain by construction (a valuation
         rule's result, a sum of two values); validation is skipped.  Outside
-        input goes through ``fin``, ``inf`` or the constructor."""
+        input goes through the constructor."""
         obj = object.__new__(cls)
         fields = obj.__dict__
         fields["domain"] = domain
@@ -202,7 +194,7 @@ def ext_neg(a: ExtendedValue) -> ExtendedValue:
     if not MONOIDS[a.domain].inverses:
         raise ValueError(f"{a.domain} is not a group; negate in its completion "
                          f"{MONOIDS[a.domain].completion}")
-    return ExtendedValue.fin(a.domain, -a.value)
+    return ExtendedValue(a.domain, -a.value)
 
 
 def ext_difference(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
@@ -212,5 +204,5 @@ def ext_difference(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
         raise ValueError("cannot subtract the top element")
     target = MONOIDS[a.domain].completion
     if a.is_inf:
-        return ExtendedValue.inf(target)
-    return ExtendedValue.fin(target, a.value - b.value)
+        return ExtendedValue(target, None)
+    return ExtendedValue(target, a.value - b.value)

@@ -32,11 +32,6 @@ _N0 = MONOIDS["N0"]
 _EXPONENT = operator.itemgetter(0)
 
 
-def _randint(rng, a: int, b: int) -> int:
-    """One draw of rng.randint(a, b); see _uniform."""
-    return _uniform(rng, a, b)()
-
-
 class NatSemiring(Semiring):
     """Nonnegative integers; multiplicatively cancellative but no inverses."""
 

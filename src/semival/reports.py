@@ -40,15 +40,12 @@ class LawReport:
     def holds(self) -> bool:
         return self.verdict == HOLDS
 
-    def witness_strings(self) -> list[str]:
-        return [str(w) for w in self.witness]
-
     def __str__(self) -> str:
         head = f"{self.law}: {self.verdict}"
         if self.detail:
             head += f" ({self.detail})"
         if self.witness:
-            head += " witness " + ", ".join(self.witness_strings())
+            head += " witness " + ", ".join(map(str, self.witness))
         if self.bound is not None:
             head += f" [seed={self.bound.seed} samples={self.bound.count} size={self.bound.size_bound}]"
         return head

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .content import (
-    content,
     content_pairs,
-    cp_mul,
     dedekind_mertens_check,
+    dedekind_mertens_sides,
     gaussian_check,
     gaussian_defect,
 )
@@ -35,8 +34,6 @@ from .fracfield import embed_in_fractions, extend_valuation
 from .ideals import (
     first_incomparable_pair,
     fuzzy_ideal_classify,
-    ideal_power,
-    ideal_product,
     ideals_comparable,
     interval_comparable,
     is_subtractive_bounded,
@@ -119,8 +116,8 @@ def criterion_2() -> CriterionResult:
         problems.append("deg-frac unexpectedly satisfies the min-property")
     else:
         # the found witness must re-verify by evaluation
-        vx, vy = valuate(v, report.x), valuate(v, report.y)
-        vs = valuate(v, v.source.add(report.x, report.y))
+        vx, vy = (valuate(v, w) for w in report.witness)
+        vs = valuate(v, v.source.add(*report.witness))
         if not (vx != vy and vs != min(vx, vy)):
             problems.append("recorded witness does not re-verify")
         # and the canonical pair (1, X) exhibits the same violation
@@ -128,12 +125,12 @@ def criterion_2() -> CriterionResult:
         one, x = frs.one, frs.indeterminate()
         v1, vX = valuate(v, one), valuate(v, x)
         vsum = valuate(v, frs.add(one, x))
-        if not (v1 == ExtendedValue.fin("Z", 0) and vX == ExtendedValue.fin("Z", 1)
-                and vsum == ExtendedValue.fin("Z", 1)):
+        if not (v1 == ExtendedValue("Z", 0) and vX == ExtendedValue("Z", 1)
+                and vsum == ExtendedValue("Z", 1)):
             problems.append("the pair (1, X) does not re-verify")
     return _verdict(2, "min-property dichotomy", problems,
                     "four rules hold, deg-frac refuted; witness "
-                    f"({report.x}, {report.y}) re-verified")
+                    f"({', '.join(map(str, report.witness))}) re-verified")
 
 
 def criterion_3() -> CriterionResult:
@@ -367,13 +364,9 @@ def criterion_10() -> CriterionResult:
                 note = ""
                 if sid == "nat" and len(report.witness) == 3:
                     escaped = report.witness[2].payload
-                    m = g.degree()
-                    other = (content(cp_mul(f, g))
-                             if "left" in report.detail else content(g))
-                    base = content(f)
-                    side = ideal_product(ideal_power(base, m if "left" in
-                                                     report.detail else m + 1),
-                                         other)
+                    # the escaped generator lies outside the other side
+                    lhs, rhs = dedekind_mertens_sides(f, g, None)
+                    side = rhs if "left" in report.detail else lhs
                     if escaped <= _BRUTE_FORCE_BOUND:
                         outside = not _brute_nat_member(
                             escaped, [gen.payload for gen in side.generators])

@@ -63,34 +63,20 @@ class Valuation:
 
     @cached_property
     def zero_value(self) -> ExtendedValue:
-        return ExtendedValue.fin(self.domain, 0)
+        return ExtendedValue(self.domain, 0)
 
     def __str__(self) -> str:
         return f"{self.rule} on {self.source.sid} -> {self.domain}"
 
 
 @dataclass(frozen=True)
-class MinPropertyReport:
-    """Verdict of the min-property search; a counterexample carries the pair
-    and all three values so it re-checks by evaluation."""
+class MinPropertyReport(LawReport):
+    """A min-property report; a counterexample's witness is the pair (x, y),
+    also kept in the fields ``x`` and ``y`` that perfbench/ reads, and its
+    detail gives v(x), v(y) and v(x+y) so it re-checks by evaluation."""
 
-    verdict: str
-    bound: SampleSpec | None = None
     x: Element | None = None
     y: Element | None = None
-    vx: ExtendedValue | None = None
-    vy: ExtendedValue | None = None
-    vsum: ExtendedValue | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
-    def __str__(self) -> str:
-        if self.holds:
-            return "min-property: holds"
-        return (f"min-property: counterexample x={self.x} y={self.y} "
-                f"v(x)={self.vx} v(y)={self.vy} v(x+y)={self.vsum}")
 
 
 def valuate(v: Valuation, x: Element) -> ExtendedValue:
@@ -158,9 +144,11 @@ def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
             continue
         vsum = raw(add(x.payload, y.payload))
         if vsum != _raw_min(vx, vy):
-            return MinPropertyReport("counterexample", spec, x, y, _value(dom, vx),
-                                     _value(dom, vy), _value(dom, vsum))
-    return MinPropertyReport("holds", spec)
+            detail = (f"v(x)={_value(dom, vx)} v(y)={_value(dom, vy)} "
+                      f"v(x+y)={_value(dom, vsum)}")
+            return MinPropertyReport("min-property", "counterexample", spec, (x, y),
+                                     detail, x=x, y=y)
+    return MinPropertyReport("min-property", "holds", spec)
 
 
 def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
@@ -400,6 +388,8 @@ def get_valuation(rule: str, source: Semiring) -> Valuation:
     make = _RULES.get(name + colon)
     if make is None:
         raise ValueError(f"unknown valuation rule {rule!r}")
+    if colon and not param.isdecimal():  # digits as the element grammar reads them
+        raise ValueError(f"{name} parameter must be a prime integer, got {param!r}")
     return make(int(param), source) if colon else make(source)
 
 

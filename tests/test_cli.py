@@ -1,10 +1,14 @@
 import json
+import re
 import time
 
 import pytest
 
-from semival.cli import main
+from semival.cli import CHECKS, _run_check, build_parser, main
+from semival.instances import get_instance
+from semival.reports import LawReport, SampleSpec
 from semival.semiring import Semiring
+from semival.valuation import check_min_property, get_valuation
 
 
 def run(capsys, *argv):
@@ -44,6 +48,52 @@ def test_check_holds_and_counterexample_exit_codes(capsys):
                        "--samples", "400")
     assert code == 1
     assert "(1)/(1)" in out and "(X)/(1)" in out
+
+
+# min-property's CLI output, recorded before its report became a LawReport
+MIN_PROPERTY_OUTPUT = {
+    ("qnn", "vp:5", "text"): (0, "min-property: holds [seed=1 samples=1000 size=50]"),
+    ("qnn", "vp:5", "json"): (0, (
+        '{"command": "check", "instance": "qnn", "valuation": "vp:5", '
+        '"property": "min-property", "verdict": "holds", "bound": {"seed": 1, '
+        '"samples": 1000, "size_bound": 50}, "witness": [], "detail": "", '
+        '"result": null}')),
+    ("fractions(poly(nat))", "deg-frac", "text"): (1, (
+        "min-property: counterexample (v(x)=0 v(y)=1 v(x+y)=1) witness "
+        "(1)/(1), (X)/(1) [seed=1 samples=1000 size=50]")),
+    ("fractions(poly(nat))", "deg-frac", "json"): (1, (
+        '{"command": "check", "instance": "fractions(poly(nat))", '
+        '"valuation": "deg-frac", "property": "min-property", '
+        '"verdict": "counterexample", "bound": {"seed": 1, "samples": 1000, '
+        '"size_bound": 50}, "witness": ["(1)/(1)", "(X)/(1)"], '
+        '"detail": "v(x)=0 v(y)=1 v(x+y)=1", "result": null}')),
+}
+
+
+@pytest.mark.parametrize("sid, rule, output", sorted(MIN_PROPERTY_OUTPUT))
+def test_min_property_output_is_pinned(capsys, sid, rule, output):
+    code, text = MIN_PROPERTY_OUTPUT[sid, rule, output]
+    got, out, err = run(capsys, "check", "--semiring", sid, "--valuation", rule,
+                        "--property", "min-property", "--output", output)
+    assert (got, re.sub(r', "elapsed_ms": \d+', "", out), err) == (code, text + "\n", "")
+
+
+@pytest.mark.parametrize("prop", sorted(CHECKS))
+def test_every_check_returns_a_law_report_printed_as_it_is(capsys, prop):
+    # deg-frac on its semifield accepts every property
+    argv = ["check", "--semiring", "fractions(poly(nat))", "--valuation",
+            "deg-frac", "--property", prop, "--samples", "60"]
+    report = _run_check(build_parser().parse_args(argv))
+    assert isinstance(report, LawReport)
+    assert run(capsys, *argv) == (0 if report.holds else 1, f"{report}\n", "")
+
+
+def test_check_min_property_prints_the_library_report(capsys):
+    frs = get_instance("fractions(poly(nat))")
+    report = check_min_property(get_valuation("deg-frac", frs), SampleSpec(1, 60, 50))
+    assert isinstance(report, LawReport)
+    assert run(capsys, "check", "--semiring", frs.sid, "--valuation", "deg-frac",
+               "--property", "min-property", "--samples", "60") == (1, f"{report}\n", "")
 
 
 def test_check_gaussian(capsys):
@@ -361,6 +411,27 @@ def test_valuate_rejects_parameters_not_certified_prime(capsys, rule):
     code, out, err = run(capsys, "valuate", "--semiring", "nat", "--valuation",
                          rule, "5")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sid, rule", [
+    ("nat", "vp:abc"), ("nat", "vp:"), ("nat", "vp:5.0"), ("nat", "vp:+5"),
+    ("nat", "vp:1_0_1"), ("nat", "vp: 5"), ("fractions(ideals-z)", "vm-idz:x"),
+])
+def test_rule_parameters_are_read_as_digits(capsys, sid, rule):
+    name, _, param = rule.partition(":")
+    assert run(capsys, "valuate", "--semiring", sid, "--valuation", rule, "5") == (
+        2, "", f"error: {name} parameter must be a prime integer, got {param!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "5"], ["divmod", "5", "3"], ["ideal", "--op", "contains", "ideal[5]", "5"],
+    ["check", "--property", "gaussian"], ["check", "--property", "dedekind-mertens"],
+    ["check", "--property", "total-order"],
+])
+def test_discrete_commands_refuse_a_valuation_without_integer_values(capsys, argv):
+    command, *rest = argv
+    assert run(capsys, command, "--semiring", "qnn", "--valuation", "trivial",
+               *rest) == (2, "", "error: a discrete structure needs integer values\n")
 
 
 @pytest.mark.parametrize("sid,rule,literal,message", [

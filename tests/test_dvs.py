@@ -23,7 +23,7 @@ from semival.reports import SampleSpec
 from semival.valuation import valuate
 
 SPEC = SampleSpec(1, 400, 20)
-fin = ExtendedValue.fin
+fin = ExtendedValue
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,12 @@ def test_structure_validation():
         dvs_structure("vp:5", get_instance("nat"))  # not a semifield
     with pytest.raises(ValueError):
         dvs_structure("trivial", get_instance("qnn"))  # values not in Z
+
+
+def test_structure_checks_the_domain_before_building_the_uniformizer():
+    # the trivial rule has no element of value 1 to offer
+    with pytest.raises(ValueError, match="^a discrete structure needs integer values$"):
+        dvs_structure("trivial", get_instance("qnn"))
 
 
 def test_normal_form_examples(qnn5, structures):

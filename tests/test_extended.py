@@ -16,8 +16,12 @@ from semival.extended import (
     ext_neg,
 )
 
-fin = ExtendedValue.fin
-inf = ExtendedValue.inf
+fin = ExtendedValue
+
+
+def inf(domain):
+    return ExtendedValue(domain, None)
+
 
 ints = st.integers(min_value=-50, max_value=50)
 maybe_inf = st.one_of(ints, st.none())

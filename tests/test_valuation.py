@@ -28,7 +28,7 @@ from semival.valuation import (
 )
 
 SPEC = SampleSpec(1, 600, 25)
-fin = ExtendedValue.fin
+fin = ExtendedValue
 
 
 def _vp5_oracle(n: int) -> int:
@@ -186,10 +186,12 @@ def test_min_property_verdicts(rule, sid, expected):
     report = check_min_property(v, SPEC)
     assert report.holds == expected, str(report)
     if not report.holds:
-        vx, vy = valuate(v, report.x), valuate(v, report.y)
-        vsum = valuate(v, v.source.add(report.x, report.y))
+        x, y = report.witness
+        vx, vy = valuate(v, x), valuate(v, y)
+        vsum = valuate(v, v.source.add(x, y))
         assert vx != vy
-        assert vsum == report.vsum != min(vx, vy)
+        assert vsum != min(vx, vy)
+        assert report.detail == f"v(x)={vx} v(y)={vy} v(x+y)={vsum}"
 
 
 def test_deg_frac_min_property_witness_is_one_and_x():
@@ -197,9 +199,12 @@ def test_deg_frac_min_property_witness_is_one_and_x():
     v = get_valuation("deg-frac", frs)
     report = check_min_property(v, SPEC)
     assert not report.holds
-    assert frs.eq(report.x, frs.one)
-    assert frs.eq(report.y, frs.indeterminate())
-    assert (report.vx, report.vy, report.vsum) == (fin("Z", 0), fin("Z", 1), fin("Z", 1))
+    x, y = report.witness
+    assert frs.eq(x, frs.one)
+    assert frs.eq(y, frs.indeterminate())
+    assert report.detail == "v(x)=0 v(y)=1 v(x+y)=1"
+    assert (valuate(v, x), valuate(v, y), valuate(v, frs.add(x, y))) == (
+        fin("Z", 0), fin("Z", 1), fin("Z", 1))
 
 
 def test_level_membership():
@@ -222,7 +227,7 @@ def test_level_membership():
     assert level_membership(vd, frs.one, minus_one)
     assert level_membership(vd, x, minus_one)
     with pytest.raises(ValueError, match="finite values"):
-        level_membership(v, nat.element(2), ExtendedValue.inf("N0"))
+        level_membership(v, nat.element(2), ExtendedValue("N0", None))
     with pytest.raises(DomainMismatchError):
         level_membership(v, nat.element(2), fin("Z", 0))
 
