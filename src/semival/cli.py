@@ -172,7 +172,7 @@ def _dedekind_mertens(args, instance, valuation, spec: SampleSpec) -> LawReport:
         report = dedekind_mertens_check(f, g, dvs, spec)
         if not report.holds:
             return report
-    return LawReport("dedekind-mertens", "holds", spec)
+    return LawReport(f"dedekind-mertens[{instance.sid}]", "holds", spec)
 
 
 # property -> (check(args, instance, valuation, spec) -> LawReport, the usage

@@ -16,10 +16,11 @@ from .dvs import DVSStructure
 from .extended import _uniform
 from .ideals import (
     FinGenIdeal,
+    _check_structure,
+    _ideal,
     ideal_power,
     ideal_product,
     ideal_subset,
-    make_ideal,
 )
 from .instances import FractionSemiring
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
@@ -82,11 +83,17 @@ def cp_mul(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
     inst = f.instance
     if f.is_zero() or g.is_zero():
         return ContentPolynomial(inst, ())
-    out = [inst.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
+    # the coefficients multiply as payloads; g's are claimed as mul would
+    for b in g.coeffs:
+        inst._claim(b)
+    add, mul, zero = inst._add, inst._mul, inst._zero()
+    gs = [b.payload for b in g.coeffs]
+    out = [zero] * (len(f.coeffs) + len(gs) - 1)
     for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = inst.add(out[i + j], inst.mul(a, b))
-    return make_content_poly(inst, out)
+        a = a.payload
+        for j, b in enumerate(gs):
+            out[i + j] = add(out[i + j], mul(a, b))
+    return make_content_poly(inst, [Element(inst, c) for c in out])
 
 
 def _carrier_parts(carrier) -> tuple[Semiring, DVSStructure | None]:
@@ -98,10 +105,11 @@ def _carrier_parts(carrier) -> tuple[Semiring, DVSStructure | None]:
 def content(f: ContentPolynomial, dvs: DVSStructure | None = None) -> FinGenIdeal:
     """The ideal generated by the nonzero coefficients; (0) for the zero
     polynomial."""
-    gens = [c for c in f.coeffs if not c.is_zero()]
-    if not gens:
-        gens = [f.instance.zero]
-    return make_ideal(f.instance, gens, dvs=dvs)
+    inst = f.instance
+    _check_structure(inst, dvs)
+    eq, zero = inst._eq, inst._zero()
+    gens = tuple(c.payload for c in f.coeffs if not eq(c.payload, zero))
+    return _ideal(inst, gens or (zero,), dvs)
 
 
 def _equal_ideals(law: str, pair: tuple, I: FinGenIdeal, J: FinGenIdeal,
@@ -118,11 +126,13 @@ def _equal_ideals(law: str, pair: tuple, I: FinGenIdeal, J: FinGenIdeal,
 
 def dedekind_mertens_sides(f: ContentPolynomial, g: ContentPolynomial,
                            dvs: DVSStructure | None) -> tuple[FinGenIdeal, FinGenIdeal]:
-    """The sides c(f)^(m+1) c(g) and c(f)^m c(fg), m = deg g, for nonzero f, g."""
-    m = g.degree()
+    """The sides c(f)^(m+1) c(g) and c(f)^m c(fg), m = deg g, for nonzero f, g.
+    c(f)^m is built once; c(f)^(m+1) is its product with c(f), which is how
+    ideal_power builds it too."""
     cf = content(f, dvs)
-    return (ideal_product(ideal_power(cf, m + 1), content(g, dvs)),
-            ideal_product(ideal_power(cf, m), content(cp_mul(f, g), dvs)))
+    cf_m = ideal_power(cf, g.degree())
+    return (ideal_product(ideal_product(cf_m, cf), content(g, dvs)),
+            ideal_product(cf_m, content(cp_mul(f, g), dvs)))
 
 
 def dedekind_mertens_check(f: ContentPolynomial, g: ContentPolynomial,

@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .extended import ExtendedValue, _nonnegative, _raw_lt
-from .ideals import FinGenIdeal, _threshold, ideal_equal, make_ideal, principal
+from .ideals import (
+    FinGenIdeal,
+    _ideal,
+    _threshold,
+    ideal_equal,
+    make_ideal,
+    principal,
+)
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
@@ -45,7 +52,8 @@ class DVSStructure:
     def __post_init__(self):
         v = self.valuation
         if v.domain != "Z":
-            raise ValueError("a discrete structure needs integer values")
+            raise ValueError(f"a discrete structure needs values in Z; {v.rule} on "
+                             f"{v.source.sid} takes values in {v.domain}")
         if not v.source.caps.semifield:
             raise ValueError("the ambient instance must be a semifield with a "
                              "surjective valuation")
@@ -96,8 +104,7 @@ class DVSStructure:
         """The principal ideal (t^n) of the carrier, n >= 0; built once per n."""
         ideals = self._power_ideals
         if n not in ideals:
-            amb = self.ambient
-            ideals[n] = principal(amb, Element(amb, self.power_payload(n)), dvs=self)
+            ideals[n] = _ideal(self.ambient, (self.power_payload(n),), self)
         return ideals[n]
 
     @cached_property
@@ -105,8 +112,7 @@ class DVSStructure:
         """The threshold rule of the carrier's ideals, keyed on the raw value
         of a generator's payload (None, inf, for zero); a negative key lies
         outside the carrier."""
-        raw = self.valuation.payload_fn
-        return _threshold(lambda x: raw(x.payload), floor=0)
+        return _threshold(self.valuation.payload_fn, floor=0, text=self.ambient._text)
 
     def normal_form_payload(self, p) -> tuple[object, int]:
         """(unit, n) with p = unit * t^n and n = v(p), for nonzero p."""
@@ -160,8 +166,8 @@ def dvs_ideal_of(D: DVSStructure, I: FinGenIdeal) -> int:
         raise ValueError("the ideal does not live in this structure")
     if I.is_zero():
         raise ValueError("the zero ideal is not a uniformizer power")
-    (g,) = I.generators
-    n = D.valuation.payload_fn(g.payload)
+    (g,) = I.payloads
+    n = D.valuation.payload_fn(g)
     power = D.power_ideal(n)
     if not ideal_equal(I, power):
         raise AssertionError(f"normalisation of {I} failed at n={n}")

@@ -1,17 +1,19 @@
 """Finitely generated ideals, reduced and decided by one rule per carrier.
 
 There is no generic decision procedure for semiring ideal membership.  Each
-carrier with an exact one owns a rule ``(reduce, build)``.  ``reduce`` turns
-a generator list into the shortest list generating the same ideal (zero
-alone for the zero ideal); every FinGenIdeal applies it on construction, so
-sums, products and powers shrink at each step.  ``build`` turns the reduced
-list into the membership predicate, on the ideal's first ``contains``.
+carrier with an exact one owns a rule ``(reduce, build)`` on payload tuples.
+``reduce`` turns a generator list into a shorter one generating the same
+ideal (zero alone for the zero ideal); every FinGenIdeal applies it on
+construction, so sums, products and powers shrink at each step.  ``build``
+turns the reduced list into the membership test on payloads, on the ideal's
+first query.
 
   nat           drop multiples of smaller generators; x is a member iff it is
                 a nonnegative integer combination (see _NatSemigroup)
   ideals-z      (g1),...,(gk) generate the multiples of their gcd: keep it
-  bool-poly     drop duplicates; addition is idempotent and degrees only grow,
-                so x is a sum of shifted generators iff the union of all
+  bool-poly     X^s * g lies in (g): keep the least shift of each exponent
+                shape; addition is idempotent and degrees only grow, so x
+                is a sum of shifted generators iff the union of all
                 generator shifts contained in x equals x
   threshold     y is in (g) iff key(y) >= key(g): keep the first generator of
                 least key.  Keys: the value (inf for the zero element) on
@@ -23,14 +25,17 @@ list into the membership predicate, on the ideal's first ``contains``.
                 its rule once, see DVSStructure.ideal_rule)
 
 Other instances drop duplicates and raise UnsupportedOperationError on the
-first membership query.  Subset of finitely generated ideals is exact via
-generator membership; subtractivity and primality quantify over the carrier
-and stay sampled.
+first membership query.  An ideal keeps its reduced generators as payloads:
+sums, products, powers, subset tests and content ideals never wrap them, and
+elements appear only at the boundary (``generators``, witnesses, ``str``).
+Subset of finitely generated ideals is exact via generator membership;
+subtractivity and primality quantify over the carrier and stay sampled.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
@@ -56,11 +61,21 @@ def _nat_semigroup(gens: tuple[int, ...]) -> "_NatSemigroup":
 class _NatSemigroup:
     """Membership in {sum s_i * g_i : s_i >= 0} for fixed positive generators.
 
-    After factoring out the gcd, either the smallest generator is modest and
-    a shortest-path table over its residue classes decides every query in
-    O(1), or all generators are large and a congruence-pruned search over
-    the (then small) multiplier ranges terminates quickly.  Both routes are
-    exact.
+    After factoring out the gcd, either the smallest generator a is modest
+    and a shortest-path table over the residues modulo a decides each query
+    by one lookup, or all generators are large and a congruence-pruned search
+    over the (then small) multiplier ranges terminates quickly.  Both routes
+    are exact.
+
+    The table is Nijenhuis's (Amer. Math. Monthly 86, 1979): Dijkstra gives
+    dist[r], the least semigroup element congruent to r.  It is filled only
+    as far as the queries need: a query y runs the search until its least
+    open entry exceeds y, and a later, larger query resumes it.  Entries
+    below the least open one are final, so every residue whose least element
+    is at most y is then exact.  One lock per table serialises the filling,
+    since an interleaved relaxation could store a distance that is too
+    large; a query below the filled bound reads without it, because filling
+    only writes values above that bound.
     """
 
     def __init__(self, gens: tuple[int, ...]):
@@ -69,7 +84,10 @@ class _NatSemigroup:
         self.scaled = scaled
         self.apery = None
         if scaled[0] * len(scaled) <= _APERY_BUDGET:
-            self.apery = self._residue_table(scaled)
+            self.apery = [0] + [None] * (scaled[0] - 1)
+            self._heap = [(0, 0)]
+            self._final = 0  # every entry below this one is final
+            self._lock = threading.Lock()
         else:
             self.desc = tuple(sorted(scaled, reverse=True))
             suffix = [0] * (len(self.desc) + 1)
@@ -78,25 +96,22 @@ class _NatSemigroup:
             self.suffix_gcd = suffix
             self.memo: dict = {}
 
-    @staticmethod
-    def _residue_table(gens: tuple[int, ...]) -> list:
-        # dist[r] = least semigroup element congruent to r modulo gens[0]
-        a = gens[0]
-        dist: list = [None] * a
-        dist[0] = 0
-        heap = [(0, 0)]
-        rest = gens[1:]
-        while heap:
-            d, r = heappop(heap)
-            if dist[r] is not None and d > dist[r]:
-                continue
-            for g in rest:
-                nr = (r + g) % a
-                nd = d + g
-                if dist[nr] is None or nd < dist[nr]:
-                    dist[nr] = nd
-                    heappush(heap, (nd, nr))
-        return dist
+    def _fill(self, y: int) -> None:
+        """Settle every residue whose least element is at most y."""
+        with self._lock:
+            dist, heap = self.apery, self._heap
+            a, rest = self.scaled[0], self.scaled[1:]
+            while heap and heap[0][0] <= y:
+                d, r = heappop(heap)
+                if d > dist[r]:
+                    continue
+                for g in rest:
+                    nr = (r + g) % a
+                    nd = d + g
+                    if dist[nr] is None or nd < dist[nr]:
+                        dist[nr] = nd
+                        heappush(heap, (nd, nr))
+            self._final = heap[0][0] if heap else math.inf
 
     def member(self, x: int) -> bool:
         if x == 0:
@@ -105,6 +120,8 @@ class _NatSemigroup:
             return False
         y = x // self.gcd
         if self.apery is not None:
+            if y >= self._final:
+                self._fill(y)
             d = self.apery[y % self.scaled[0]]
             return d is not None and d <= y
         return self._search(y, 0)
@@ -143,37 +160,43 @@ class _NatSemigroup:
         return result
 
 
-def _nat_reduce(gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    nat, kept = gens[0].semiring, []
-    for v in sorted({g.payload for g in gens if g.payload > 0}):
+def _nat_reduce(gens: tuple[int, ...]) -> tuple[int, ...]:
+    kept: list = []
+    for v in sorted({g for g in gens if g > 0}):
         if not any(v % w == 0 for w in kept):
             kept.append(v)
-    return tuple(Element(nat, v) for v in kept) or (nat.zero,)
+    return tuple(kept) or (0,)
 
 
-def _nat_oracle(gens: list[int]):
+def _nat_oracle(gens):
     if gens[0] == 0:
         return lambda p: p == 0
     return _nat_semigroup(tuple(gens)).member
 
 
-def _gcd_reduce(gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    return (Element(gens[0].semiring, reduce(math.gcd, (g.payload for g in gens))),)
+def _gcd_reduce(gens: tuple[int, ...]) -> tuple[int, ...]:
+    return (reduce(math.gcd, gens),)
 
 
-def _ideals_z_oracle(gens: list[int]):
+def _ideals_z_oracle(gens):
     d = gens[0]
     return (lambda p: p % d == 0) if d else (lambda p: p == 0)
 
 
-def _dedupe(gens: tuple[Element, ...]) -> tuple[Element, ...]:
-    unique: dict = {}
+def _bool_poly_reduce(gens: tuple[frozenset, ...]) -> tuple[frozenset, ...]:
+    # X^s * g lies in (g): per shape (the exponents less the least one) keep
+    # the least shift, where the shape was first seen; zero only alone
+    least: dict = {}
     for g in gens:
-        unique.setdefault(g.payload, g)
-    return tuple(unique.values())
+        if g:
+            low = min(g)
+            shape = frozenset(e - low for e in g)
+            if shape not in least or low < least[shape][0]:
+                least[shape] = (low, g)
+    return tuple(g for _, g in least.values()) or (frozenset(),)
 
 
-def _bool_poly_oracle(gens: list[frozenset]):
+def _bool_poly_oracle(gens):
     # a shift of g that fits inside x lines min(g) up with an exponent of x
     shapes = [(min(g), tuple(e - min(g) for e in g)) for g in gens if g]
 
@@ -187,34 +210,21 @@ def _bool_poly_oracle(gens: list[frozenset]):
     return member
 
 
-def _no_oracle(gens: tuple[Element, ...]):
-    raise UnsupportedOperationError(
-        f"{gens[0].semiring.sid}: no ideal membership oracle")
-
-
 class _Rule(NamedTuple):
-    reduce: Callable  # generators -> the fewest generating the same ideal
-    build: Callable   # reduced generators -> membership predicate on elements
+    reduce: Callable  # generator payloads -> fewer generating the same ideal
+    build: Callable   # reduced generator payloads -> membership test on payloads
 
 
-def _payload_rule(reduce_gens, oracle) -> _Rule:
-    """oracle(generator payloads) returns a test on the payload of x."""
-    def build(gens):
-        test = oracle([g.payload for g in gens])
-        return lambda x: test(x.payload)
-    return _Rule(reduce_gens, build)
-
-
-def _threshold(key, floor=None) -> _Rule:
+def _threshold(key, floor=None, text=str) -> _Rule:
     """x is in (g1..gk) iff key(x) >= min key(gi), keys ordered as raw
     values (None is inf).  A generator keyed below the floor lies outside
-    the carrier; one key per generator serves both."""
+    the carrier, and text names it; one key per generator serves both."""
     def reduce_gens(gens):
         keys = [key(g) for g in gens]
         if floor is not None:
             for g, k in zip(gens, keys):
                 if _raw_lt(k, floor):
-                    raise ValueError(f"{g} lies outside the carrier")
+                    raise ValueError(f"{text(g)} lies outside the carrier")
         return (gens[keys.index(reduce(_raw_min, keys))],)
 
     def build(gens):
@@ -225,62 +235,107 @@ def _threshold(key, floor=None) -> _Rule:
 
 # sid -> rule; _rule_for covers DVS carriers, semifields and the rest
 _RULES = {
-    "nat": _payload_rule(_nat_reduce, _nat_oracle),
-    "ideals-z": _payload_rule(_gcd_reduce, _ideals_z_oracle),
-    "bool-poly": _payload_rule(_dedupe, _bool_poly_oracle),
-    "tropical-nat": _threshold(lambda x: x.payload),
-    "fuzzy": _threshold(lambda x: -x.payload),
+    "nat": _Rule(_nat_reduce, _nat_oracle),
+    "ideals-z": _Rule(_gcd_reduce, _ideals_z_oracle),
+    "bool-poly": _Rule(_bool_poly_reduce, _bool_poly_oracle),
+    "tropical-nat": _threshold(lambda p: p),
+    "fuzzy": _threshold(lambda p: -p),
 }
-_SEMIFIELD = _threshold(Element.is_zero)
-_NO_ORACLE = _Rule(_dedupe, _no_oracle)
+
+
+@lru_cache(maxsize=None)
+def _instance_rule(instance: Semiring) -> _Rule:
+    """The rule of an instance without an entry in _RULES: the zero test as
+    the key on a semifield, else no membership oracle at all."""
+    if instance.caps.semifield:
+        eq, zero = instance._eq, instance._zero()
+        return _threshold(lambda p: eq(p, zero))
+
+    def no_oracle(gens):
+        raise UnsupportedOperationError(f"{instance.sid}: no ideal membership oracle")
+    return _Rule(lambda gens: tuple(dict.fromkeys(gens)), no_oracle)
 
 
 def _rule_for(instance: Semiring, dvs) -> _Rule:
     if dvs is not None:
         return dvs.ideal_rule
-    return _RULES.get(instance.sid, _SEMIFIELD if instance.caps.semifield else _NO_ORACLE)
+    return _RULES.get(instance.sid) or _instance_rule(instance)
 
 
-@dataclass(frozen=True)
+def _check_structure(instance: Semiring, dvs) -> None:
+    if dvs is not None and dvs.ambient is not instance:
+        raise ValueError(f"{dvs.name} is not a structure on {instance.sid}")
+
+
 class FinGenIdeal:
     """A nonempty finite generator list over one instance, reduced by its
-    rule.  When ``dvs`` is set the ideal lives in the carrier of that discrete
-    valuation structure and membership goes through the valuation.
+    rule and kept as payloads.  When ``dvs`` is set the ideal lives in the
+    carrier of that discrete valuation structure and membership goes through
+    the valuation.
     """
 
-    instance: Semiring
-    generators: tuple[Element, ...]
-    dvs: object = None  # DVSStructure, kept untyped to avoid an import cycle
-
-    def __post_init__(self):
-        if self.dvs is not None and self.dvs.ambient is not self.instance:
-            raise ValueError(f"{self.dvs.name} is not a structure on {self.instance.sid}")
-        if not self.generators:
+    def __init__(self, instance: Semiring, generators: tuple[Element, ...], dvs=None):
+        # dvs is a DVSStructure, kept untyped to avoid an import cycle
+        _check_structure(instance, dvs)
+        if not generators:
             raise ValueError("an ideal needs at least one generator")
-        for g in self.generators:
-            self.instance._claim(g)
-        reduced = _rule_for(self.instance, self.dvs).reduce(self.generators)
-        object.__setattr__(self, "generators", reduced)
+        for g in generators:
+            instance._claim(g)
+        self._reduce(instance, tuple(g.payload for g in generators), dvs)
+
+    def _reduce(self, instance: Semiring, payloads: tuple, dvs) -> None:
+        self.instance, self.dvs = instance, dvs
+        self._rule = _rule_for(instance, dvs)
+        self.payloads = self._rule.reduce(payloads)
+
+    @cached_property
+    def generators(self) -> tuple[Element, ...]:
+        """The reduced generators as elements, built on first access."""
+        instance = self.instance
+        return tuple(Element(instance, p) for p in self.payloads)
 
     def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.generators)
+        eq, zero = self.instance._eq, self.instance._zero()
+        return all(eq(p, zero) for p in self.payloads)
 
     def contains(self, x: Element) -> bool:
         self.instance._claim(x)
-        return self._member(x)
+        return self._member(x.payload)
 
     @cached_property
-    def _member(self) -> Callable[[Element], bool]:
-        """The membership predicate, built on the first query."""
-        return _rule_for(self.instance, self.dvs).build(self.generators)
+    def _member(self) -> Callable[[object], bool]:
+        """The membership test on payloads, built on the first query."""
+        return self._rule.build(self.payloads)
 
     def domain_filter(self):
         if self.dvs is not None:
             return self.dvs.contains
         return None
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        eq = self.instance._eq
+        return (self.instance is other.instance and self.dvs == other.dvs
+                and len(self.payloads) == len(other.payloads)
+                and all(map(eq, self.payloads, other.payloads)))
+
+    # payloads compare by the instance's equality, which has no hash
+    __hash__ = None
+
     def __str__(self) -> str:
-        return "ideal[" + ", ".join(str(g) for g in self.generators) + "]"
+        return "ideal[" + ", ".join(map(self.instance._text, self.payloads)) + "]"
+
+    def __repr__(self) -> str:
+        return f"FinGenIdeal({self.instance.sid}, {self})"
+
+
+def _ideal(instance: Semiring, payloads: tuple, dvs) -> FinGenIdeal:
+    """The ideal of canonical payloads of instance, reduced by its rule;
+    nothing is claimed or checked."""
+    ideal = FinGenIdeal.__new__(FinGenIdeal)
+    ideal._reduce(instance, payloads, dvs)
+    return ideal
 
 
 def make_ideal(instance: Semiring, generators, dvs=None) -> FinGenIdeal:
@@ -309,21 +364,20 @@ def _require_same(I: FinGenIdeal, J: FinGenIdeal) -> None:
 
 def ideal_sum(I: FinGenIdeal, J: FinGenIdeal) -> FinGenIdeal:
     _require_same(I, J)
-    return make_ideal(I.instance, list(I.generators) + list(J.generators), I.dvs)
+    return _ideal(I.instance, I.payloads + J.payloads, I.dvs)
 
 
 def ideal_product(I: FinGenIdeal, J: FinGenIdeal) -> FinGenIdeal:
     _require_same(I, J)
-    mul = I.instance.mul
-    return make_ideal(I.instance,
-                      [mul(a, b) for a in I.generators for b in J.generators],
-                      I.dvs)
+    mul = I.instance._mul
+    return _ideal(I.instance, tuple(mul(a, b) for a in I.payloads for b in J.payloads),
+                  I.dvs)
 
 
 def ideal_power(I: FinGenIdeal, n: int) -> FinGenIdeal:
     if n < 0:
         raise ValueError("ideal powers need n >= 0")
-    result = make_ideal(I.instance, [I.instance.one], I.dvs)
+    result = _ideal(I.instance, (I.instance._one(),), I.dvs)
     for _ in range(n):
         result = ideal_product(result, I)
     return result
@@ -333,9 +387,11 @@ def ideal_subset(I: FinGenIdeal, J: FinGenIdeal) -> LawReport:
     """Exact for finitely generated ideals: test I's generators in J."""
     _require_same(I, J)
     law = "ideal-subset"
-    for g in I.generators:
-        if not J.contains(g):
-            return law_counterexample(law, (g,), detail=f"{g} not in {J}")
+    member = J._member
+    for g in I.payloads:
+        if not member(g):
+            x = Element(I.instance, g)
+            return law_counterexample(law, (x,), detail=f"{x} not in {J}")
     return law_holds(law)
 
 

@@ -368,8 +368,7 @@ def criterion_10() -> CriterionResult:
                     lhs, rhs = dedekind_mertens_sides(f, g, None)
                     side = rhs if "left" in report.detail else lhs
                     if escaped <= _BRUTE_FORCE_BOUND:
-                        outside = not _brute_nat_member(
-                            escaped, [gen.payload for gen in side.generators])
+                        outside = not _brute_nat_member(escaped, list(side.payloads))
                         note = (" (re-verified by brute force: the identity "
                                 "needs subtractive coefficients)" if outside
                                 else " (brute force disagrees: implementation bug)")

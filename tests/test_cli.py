@@ -334,6 +334,16 @@ def test_witnesses_reverify_from_json(capsys):
     assert valuate(v, frs.add(x, y)) != min(vx, vy)
 
 
+def test_dedekind_mertens_law_name_does_not_depend_on_the_verdict(capsys):
+    # named after its carrier whether it holds or not, as gaussian[<sid>] is
+    assert run(capsys, "check", "--semiring", "ideals-z", "--property",
+               "dedekind-mertens", "--samples", "50") == (
+        0, "dedekind-mertens[ideals-z]: holds [seed=1 samples=50 size=50]\n", "")
+    code, out, _ = run(capsys, "check", "--semiring", "nat", "--property",
+                       "dedekind-mertens", "--samples", "50")
+    assert code == 1 and out.startswith("dedekind-mertens[nat]: counterexample (")
+
+
 def test_check_dedekind_mertens_verdicts(capsys):
     code, _, _ = run(capsys, "check", "--semiring", "ideals-z", "--property",
                      "dedekind-mertens")
@@ -431,7 +441,8 @@ def test_rule_parameters_are_read_as_digits(capsys, sid, rule):
 def test_discrete_commands_refuse_a_valuation_without_integer_values(capsys, argv):
     command, *rest = argv
     assert run(capsys, command, "--semiring", "qnn", "--valuation", "trivial",
-               *rest) == (2, "", "error: a discrete structure needs integer values\n")
+               *rest) == (2, "", "error: a discrete structure needs values in Z; "
+                          "trivial on qnn takes values in trivial\n")
 
 
 @pytest.mark.parametrize("sid,rule,literal,message", [

@@ -45,7 +45,8 @@ def test_structure_validation():
 
 def test_structure_checks_the_domain_before_building_the_uniformizer():
     # the trivial rule has no element of value 1 to offer
-    with pytest.raises(ValueError, match="^a discrete structure needs integer values$"):
+    with pytest.raises(ValueError, match=r"^a discrete structure needs values in Z; "
+                       r"trivial on qnn takes values in trivial$"):
         dvs_structure("trivial", get_instance("qnn"))
 
 

@@ -1,7 +1,10 @@
+import heapq
 import json
 import math
 import operator
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -14,6 +17,8 @@ from semival.ideals import (
     IntervalIdeal,
     _bool_poly_oracle,
     _nat_oracle,
+    _nat_semigroup,
+    _NatSemigroup,
     fuzzy_ideal_classify,
     ideal_member,
     ideal_power,
@@ -88,6 +93,95 @@ def test_nat_oracle_large_generators():
     assert member(47 ** 4 + 16)
 
 
+def _eager_residue_table(gens):
+    # the whole table, filled before the first query: dist[r] is the least
+    # semigroup element congruent to r modulo gens[0]
+    a = gens[0]
+    dist = [None] * a
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if dist[r] is not None and d > dist[r]:
+            continue
+        for g in gens[1:]:
+            nr, nd = (r + g) % a, d + g
+            if dist[nr] is None or nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    return dist
+
+
+def _eager_member(gens):
+    d = math.gcd(*gens)
+    scaled = sorted(g // d for g in gens)
+    table = _eager_residue_table(scaled)
+
+    def member(x):
+        least = table[(x // d) % scaled[0]]
+        return x % d == 0 and least is not None and least <= x // d
+    return member
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lazy_residue_table_matches_the_eager_one(seed):
+    rng = random.Random(f"lazy-table:{seed}")
+    scale = rng.choice((1, 1, 3))
+    gens = tuple(sorted(scale * g for g in rng.sample(range(2, 300), rng.randint(2, 5))))
+    scaled = tuple(sorted(g // math.gcd(*gens) for g in gens))
+    eager = _eager_residue_table(scaled)
+    top = max(d for d in eager if d is not None) * math.gcd(*gens)
+    queries = [rng.randint(0, top + 50) for _ in range(60)] + [top, top + 1, 5 * top]
+    member = _eager_member(gens)
+    for order in (sorted(queries), sorted(queries, reverse=True), queries + queries):
+        table = _NatSemigroup(gens)
+        for x in order:
+            assert table.member(x) == member(x), (gens, x)
+        # each entry below the least open one is final and equals the eager one
+        final = [d for d in table.apery if d is not None and d < table._final]
+        assert final == [d for d in eager if d is not None and d < table._final]
+    table.member(5 * top)
+    assert table.apery == eager
+
+
+def test_threads_share_one_lazily_filled_table():
+    # eight threads query one cached table in different orders; the lock keeps
+    # every relaxation whole, so each answer is the eager one
+    gens = (30011, 40009, 50021)
+    rng = random.Random("lazy-table:threads")
+    eager = _eager_residue_table(gens)
+    # up to past the largest entry, so that the table ends full
+    queries = [rng.randint(0, 2 * max(eager)) for _ in range(300)] + [2 * max(eager)]
+    member = _eager_member(gens)
+    expected = {x: member(x) for x in queries}
+    orders = [sorted(queries), sorted(queries, reverse=True)]
+    orders += [rng.sample(queries, len(queries)) for _ in range(6)]
+
+    def ask(table, start, order, answers):
+        start.wait()
+        answers.append({x: table.member(x) for x in order})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(3):
+            _nat_semigroup.cache_clear()
+            table, answers = _nat_semigroup(gens), []
+            start = threading.Barrier(len(orders), timeout=60)
+            threads = [threading.Thread(target=ask, args=(table, start, order, answers))
+                       for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert _nat_semigroup(gens) is table
+            assert answers == [expected] * 8
+            assert table.apery == eager
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- bool-poly membership --------------------------------------------------------
 
 def brute_bool_member(x, gens):
@@ -126,6 +220,35 @@ def _bool_poly_member(x, gens):
                 min_size=1, max_size=2))
 def test_bool_poly_oracle_matches_brute_force(x, gens):
     assert _bool_poly_member(x, gens) == brute_bool_member(x, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.frozensets(st.integers(min_value=0, max_value=6), max_size=5),
+       st.lists(st.tuples(st.frozensets(st.integers(min_value=0, max_value=3),
+                                        max_size=3),
+                          st.integers(min_value=0, max_value=3)),
+                min_size=1, max_size=4))
+def test_bool_poly_shape_pass_keeps_membership(x, shifted):
+    # generators sharing a shape are shifts of each other; the reduced list
+    # decides membership as the full list does
+    gens = [frozenset(e + s for e in g) for g, s in shifted]
+    bp = get_instance("bool-poly")
+    I = make_ideal(bp, [bp.element(g) for g in gens])
+    shapes = [frozenset(e - min(g) for e in g) for g in I.payloads if g]
+    assert len(shapes) == len(set(shapes))
+    assert I.contains(bp.element(x)) == brute_bool_member(x, gens)
+
+
+def test_bool_poly_powers_keep_one_generator_per_shape():
+    from semival.grammar import parse_ideal
+    bp = get_instance("bool-poly")
+    I = parse_ideal("ideal[1+X, X^2+X^3, 1+X^4]", bp)
+    assert str(I) == "ideal[1 + X, 1 + X^4]"
+    # (1+X)^a (1+X^4)^b with a + b = 6; each shape once
+    assert len(ideal_power(I, 6).generators) == 7
+    # the least shift takes the place where its shape was first seen
+    J = make_ideal(bp, [bp.element({2}), bp.element({0, 1})])
+    assert str(ideal_sum(make_ideal(bp, [bp.element({4})]), J)) == "ideal[X^2, 1 + X]"
 
 
 def test_bool_poly_oracle_cost_follows_terms_not_degree(capsys):
@@ -421,12 +544,13 @@ def test_no_oracle_ideals_build_and_combine_until_queried():
 
 
 def test_membership_predicate_is_built_once_per_ideal(monkeypatch):
+    # the rule builds from the reduced generator payloads, once
     from semival import ideals
     builds = []
     real = ideals._RULES["nat"]
 
     def counting(gens):
-        builds.append([g.payload for g in gens])
+        builds.append(gens)
         return real.build(gens)
 
     monkeypatch.setitem(ideals._RULES, "nat", real._replace(build=counting))
@@ -434,7 +558,8 @@ def test_membership_predicate_is_built_once_per_ideal(monkeypatch):
     I = make_ideal(nat, [nat.element(4), nat.element(6), nat.element(8)])
     assert builds == []
     assert [k for k in range(12) if I.contains(nat.element(k))] == [0, 4, 6, 8, 10]
-    assert builds == [[4, 6]]  # built once, from the reduced generators
+    assert ideal_subset(make_ideal(nat, [nat.element(10)]), I).holds
+    assert builds == [(4, 6)]  # built once, from the reduced generators
 
 
 # -- every oracle against an independent reference --------------------------------
