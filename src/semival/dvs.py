@@ -112,7 +112,7 @@ class DVSStructure:
         """The threshold rule of the carrier's ideals, keyed on the raw value
         of a generator's payload (None, inf, for zero); a negative key lies
         outside the carrier."""
-        return _threshold(self.valuation.payload_fn, floor=0, text=self.ambient._text)
+        return _threshold(self.valuation.payload_fn, text=self.ambient._text)
 
     def normal_form_payload(self, p) -> tuple[object, int]:
         """(unit, n) with p = unit * t^n and n = v(p), for nonzero p."""

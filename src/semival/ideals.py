@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
@@ -111,6 +111,11 @@ class _NatSemigroup:
                     if dist[nr] is None or nd < dist[nr]:
                         dist[nr] = nd
                         heappush(heap, (nd, nr))
+            if len(heap) > a:
+                # drop entries a shorter path superseded: the cached table
+                # then keeps at most one open entry per residue
+                heap[:] = [e for e in heap if e[0] == dist[e[1]]]
+                heapify(heap)
             self._final = heap[0][0] if heap else math.inf
 
     def member(self, x: int) -> bool:
@@ -215,15 +220,16 @@ class _Rule(NamedTuple):
     build: Callable   # reduced generator payloads -> membership test on payloads
 
 
-def _threshold(key, floor=None, text=str) -> _Rule:
+def _threshold(key, text=None) -> _Rule:
     """x is in (g1..gk) iff key(x) >= min key(gi), keys ordered as raw
-    values (None is inf).  A generator keyed below the floor lies outside
-    the carrier, and text names it; one key per generator serves both."""
+    values (None is inf).  With text given, a generator keyed below 0 lies
+    outside the carrier and text names it; one key per generator serves
+    both."""
     def reduce_gens(gens):
         keys = [key(g) for g in gens]
-        if floor is not None:
+        if text is not None:
             for g, k in zip(gens, keys):
-                if _raw_lt(k, floor):
+                if _raw_lt(k, 0):
                     raise ValueError(f"{text(g)} lies outside the carrier")
         return (gens[keys.index(reduce(_raw_min, keys))],)
 
