@@ -9,12 +9,15 @@ turns the reduced list into the membership test on payloads, on the ideal's
 first query.
 
   nat           drop multiples of smaller generators; x is a member iff it is
-                a nonnegative integer combination (see _NatSemigroup)
+                a nonnegative integer combination: a memoised search first,
+                the residue table once the memo would outgrow it (see
+                _NatSemigroup)
   ideals-z      (g1),...,(gk) generate the multiples of their gcd: keep it
   bool-poly     X^s * g lies in (g): keep the least shift of each exponent
-                shape; addition is idempotent and degrees only grow, so x
-                is a sum of shifted generators iff the union of all
-                generator shifts contained in x equals x
+                shape, then drop each generator the others kept generate;
+                addition is idempotent and degrees only grow, so x is a sum
+                of shifted generators iff the union of all generator shifts
+                contained in x equals x
   threshold     y is in (g) iff key(y) >= key(g): keep the first generator of
                 least key.  Keys: the value (inf for the zero element) on
                 tropical-nat; -x on fuzzy, whose ideals are intervals;
@@ -38,8 +41,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from heapq import heapify, heappop, heappush
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
@@ -50,7 +52,7 @@ from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
 from .valuation import Valuation, in_positive_ideal, in_valuation_semiring
 
-_APERY_BUDGET = 150_000
+_TABLE_CAP = 150_000  # least scaled generator above which no table is built
 
 
 @lru_cache(maxsize=2048)
@@ -58,65 +60,54 @@ def _nat_semigroup(gens: tuple[int, ...]) -> "_NatSemigroup":
     return _NatSemigroup(gens)
 
 
+class _Outgrown(Exception):
+    """A search whose memo would outgrow the residue table."""
+
+
 class _NatSemigroup:
     """Membership in {sum s_i * g_i : s_i >= 0} for fixed positive generators.
 
-    After factoring out the gcd, either the smallest generator a is modest
-    and a shortest-path table over the residues modulo a decides each query
-    by one lookup, or all generators are large and a congruence-pruned search
-    over the (then small) multiplier ranges terminates quickly.  Both routes
-    are exact.
+    After factoring out the gcd, let a be the least generator and k the
+    number of generators.  A query that is a generator, or lies below a, is
+    answered at once.  Any other first runs a congruence-pruned search over
+    the multiplier ranges, largest generator first, with one memo shared by
+    all queries (with two generators the search is one step and keeps none).
+    The memo may hold at most a entries, the size of the residue table that
+    decides any query by one lookup; a query that would pass that builds the
+    table, drops the memo and reads its answer, and later queries read the
+    table.  Above _TABLE_CAP the search runs unbounded.  Both routes are
+    exact.
 
-    The table is Nijenhuis's (Amer. Math. Monthly 86, 1979): Dijkstra gives
-    dist[r], the least semigroup element congruent to r.  It is filled only
-    as far as the queries need: a query y runs the search until its least
-    open entry exceeds y, and a later, larger query resumes it.  Entries
-    below the least open one are final, so every residue whose least element
-    is at most y is then exact.  One lock per table serialises the filling,
-    since an interleaved relaxation could store a distance that is too
-    large; a query below the filled bound reads without it, because filling
-    only writes values above that bound.
+    The table holds n[r], the least semigroup element congruent to r modulo
+    a (Nijenhuis, Amer. Math. Monthly 86, 1979), so y is a member iff
+    n[y mod a] <= y.  Boecker and Liptak's round robin (Algorithmica 48,
+    2007) builds it whole in a*(k-1) steps, with no storage beside it.
+
+    Cached semigroups are shared across threads.  The memo holds only exact
+    answers, and a query's budget is the room left in it, so no query keeps
+    state on the semigroup; threads searching at once can each add one entry
+    past the limit.  One lock lets one thread build the table; the build
+    first sets the limit to zero, so a search racing it stops at its next
+    memo entry and waits for the table.
     """
 
     def __init__(self, gens: tuple[int, ...]):
         self.gcd = reduce(math.gcd, gens)
-        scaled = tuple(sorted(g // self.gcd for g in gens))
-        self.scaled = scaled
-        self.apery = None
-        if scaled[0] * len(scaled) <= _APERY_BUDGET:
-            self.apery = [0] + [None] * (scaled[0] - 1)
-            self._heap = [(0, 0)]
-            self._final = 0  # every entry below this one is final
-            self._lock = threading.Lock()
-        else:
-            self.desc = tuple(sorted(scaled, reverse=True))
-            suffix = [0] * (len(self.desc) + 1)
-            for i in range(len(self.desc) - 1, -1, -1):
-                suffix[i] = math.gcd(self.desc[i], suffix[i + 1])
-            self.suffix_gcd = suffix
-            self.memo: dict = {}
-
-    def _fill(self, y: int) -> None:
-        """Settle every residue whose least element is at most y."""
-        with self._lock:
-            dist, heap = self.apery, self._heap
-            a, rest = self.scaled[0], self.scaled[1:]
-            while heap and heap[0][0] <= y:
-                d, r = heappop(heap)
-                if d > dist[r]:
-                    continue
-                for g in rest:
-                    nr = (r + g) % a
-                    nd = d + g
-                    if dist[nr] is None or nd < dist[nr]:
-                        dist[nr] = nd
-                        heappush(heap, (nd, nr))
-            if len(heap) > a:
-                # drop entries a shorter path superseded: the cached table
-                # then keeps at most one open entry per residue
-                heap[:] = [e for e in heap if e[0] == dist[e[1]]]
-                heapify(heap)
-            self._final = heap[0][0] if heap else math.inf
+        self.desc = desc = tuple(sorted((g // self.gcd for g in gens), reverse=True))
+        # level i takes multiples s of desc[i] and leaves the rest to the
+        # smaller generators, whose gcd m must divide x - s*desc[i]: that
+        # needs d | x % m, and then s runs over one class modulo m / d
+        self.levels = []
+        m = desc[-1]
+        for g in desc[-2::-1]:
+            d = math.gcd(g, m)
+            self.levels.insert(0, (g, m, d, m // d, pow(g // d, -1, m // d)))
+            m = d
+        a = desc[-1]
+        self.limit = a if a <= _TABLE_CAP else math.inf  # most memo entries
+        self.memo: dict = {}
+        self.table = None
+        self._lock = threading.Lock()
 
     def member(self, x: int) -> bool:
         if x == 0:
@@ -124,44 +115,77 @@ class _NatSemigroup:
         if x % self.gcd:
             return False
         y = x // self.gcd
-        if self.apery is not None:
-            if y >= self._final:
-                self._fill(y)
-            d = self.apery[y % self.scaled[0]]
-            return d is not None and d <= y
-        return self._search(y, 0)
+        table = self.table
+        if table is None:
+            if y in self.desc or y < self.desc[-1]:
+                return y in self.desc
+            try:
+                return self._search(y, 0)
+            except _Outgrown:
+                pass  # leave the handler first: its traceback holds the memo
+            table = self._build()
+        return table[y % self.desc[-1]] <= y
+
+    def _build(self) -> list:
+        with self._lock:
+            if self.table is None:
+                # searches racing the build meet the zero limit and wait here
+                self.limit, self.memo = 0, {}
+                a = self.desc[-1]
+                n = [math.inf] * a
+                n[0] = 0
+                for g in self.desc[:-1]:
+                    # one pass along each cycle of r -> r + g, started at its
+                    # least entry; the cycle of 0 starts at 0
+                    d, step = math.gcd(a, g), g % a
+                    for p in range(d):
+                        q = min(range(p, a, d), key=n.__getitem__) if p else 0
+                        best = n[q]
+                        if best == math.inf:
+                            continue
+                        for _ in range(a // d - 1):
+                            q += step
+                            if q >= a:
+                                q -= a
+                            best += g
+                            if n[q] < best:
+                                best = n[q]
+                            else:
+                                n[q] = best
+                self.table = n
+            return self.table
 
     def _search(self, x: int, i: int) -> bool:
         if x == 0:
             return True
-        desc = self.desc
-        if i == len(desc) - 1:
-            return x % desc[i] == 0
-        key = (x, i)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        g = desc[i]
-        result = False
-        if x % g == 0:
-            result = True
+        levels = self.levels
+        if i == len(levels):
+            return x % self.desc[-1] == 0
+        g, m, d, step, inverse = levels[i]
+        r = x % m
+        key = x * len(levels) + i  # an int key keeps the memo out of the gc
+        memo = self.memo
+        if i == len(levels) - 1:
+            # the rest must be a multiple of m, the least generator: the least
+            # multiple of g that leaves one decides
+            result = r % d == 0 and inverse * (r // d) % step * g <= x
+            if i == 0:
+                return result  # two generators: no loop above it to bound
         else:
-            m = self.suffix_gcd[i + 1]
-            r = x % m
-            gm = g % m
-            d = math.gcd(gm, m)
-            if r % d == 0:
-                step = m // d
-                if step > 1:
-                    s = (pow(gm // d, -1, step) * (r // d)) % step
-                else:
-                    s = 0
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            result = x % g == 0
+            if not result and r % d == 0:
+                s = inverse * (r // d) % step
                 while s * g <= x:
                     if self._search(x - s * g, i + 1):
                         result = True
                         break
                     s += step
-        self.memo[key] = result
+        if len(memo) >= self.limit:
+            raise _Outgrown
+        memo[key] = result
         return result
 
 
@@ -195,24 +219,49 @@ def _bool_poly_reduce(gens: tuple[frozenset, ...]) -> tuple[frozenset, ...]:
     for g in gens:
         if g:
             low = min(g)
-            shape = frozenset(e - low for e in g)
-            if shape not in least or low < least[shape][0]:
+            shape = frozenset(map(low.__rsub__, g))
+            seen = least.get(shape)
+            if seen is None or low < seen[0]:
                 least[shape] = (low, g)
+    # then drop, one at a time, each generator the others kept generate: the
+    # shift of one of them that covers its least exponent starts there, so
+    # that one's shape lies inside its own
+    shapes = list(least)
+    i = 0
+    while i < len(shapes) > 1:
+        shape = shapes[i]
+        low, g = least[shape]
+        others = shapes[:i] + shapes[i + 1:]
+        for s in others:
+            if s < shape and least[s][0] <= low:
+                if _generated([(least[h][0], h) for h in others], g):
+                    del least[shape], shapes[i]
+                    i -= 1  # the next generator moved into place i
+                break
+        i += 1
     return tuple(g for _, g in least.values()) or (frozenset(),)
 
 
-def _bool_poly_oracle(gens):
-    # a shift of g that fits inside x lines min(g) up with an exponent of x
-    shapes = [(min(g), tuple(e - min(g) for e in g)) for g in gens if g]
+def _generated(shapes, x: frozenset) -> bool:
+    """x is a sum of shifted generators, each given as (least exponent,
+    exponents less the least one): a shift that fits inside x lines the
+    least exponent up with an exponent of x."""
+    covered: set = set()
+    fits = x.issuperset
+    for low, offsets in shapes:
+        for e in x:
+            if e >= low and fits(map(e.__add__, offsets)):
+                covered.update(map(e.__add__, offsets))
+    return covered == x
 
-    def member(x: frozenset) -> bool:
-        covered: set = set()
-        for low, offsets in shapes:
-            for e in x:
-                if e >= low and all(e + o in x for o in offsets):
-                    covered.update(e + o for o in offsets)
-        return covered == x
-    return member
+
+def _bool_poly_oracle(gens):
+    shapes = []
+    for g in gens:
+        if g:
+            low = min(g)
+            shapes.append((low, [e - low for e in g]))
+    return partial(_generated, shapes)
 
 
 class _Rule(NamedTuple):

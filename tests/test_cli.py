@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,22 @@ def test_ideal_subcommands(capsys):
     code, out, _ = run(capsys, "ideal", "--semiring", "fuzzy", "--op",
                        "subtractive", "fuzzy[0,1/2]", "--samples", "200")
     assert code == 0
+
+
+def test_nat_membership_at_the_frobenius_number_does_not_hang():
+    # 371011316 is the largest non-member of this semigroup; with the memo
+    # bound a process answers in well under a second, without it in about
+    # 10 s and 670 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+    argv = ["ideal", "--semiring", "nat", "--op", "contains", "--output", "json",
+            "ideal[100003, 100019, 100043, 100057]", "371011316"]
+    out = subprocess.run([sys.executable, "-c", "import sys; from semival.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", *argv],
+                         env=env, capture_output=True, text=True, timeout=5)
+    assert out.returncode == 1, out.stderr
+    assert json.loads(out.stdout)["result"] == "false"
 
 
 @pytest.mark.parametrize("op, args", [("contains", ["ideal[1/5]", "1"]),

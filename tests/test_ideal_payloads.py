@@ -15,6 +15,7 @@ import pytest
 from semival.content import content, dedekind_mertens_sides, make_content_poly
 from semival.dvs import standard_dvs_structures
 from semival.ideals import (
+    _bool_poly_oracle,
     ideal_power,
     ideal_product,
     ideal_subset,
@@ -64,8 +65,14 @@ def ref_reduce(inst, gens, D):
         for g in nonzero:
             if _shape(g) not in shapes:
                 shapes.append(_shape(g))
-        return [min((g for g in nonzero if _shape(g) == s),
-                    key=lambda g: min(g.payload)) for s in shapes] or [inst.zero]
+        kept = [min((g for g in nonzero if _shape(g) == s),
+                    key=lambda g: min(g.payload)) for s in shapes]
+        # then, one at a time, drop each generator the others kept generate
+        for g in list(kept):
+            others = [h.payload for h in kept if h is not g]
+            if _bool_poly_oracle(others)(g.payload):
+                kept.remove(g)
+        return kept or [inst.zero]
     if sid == "tropical-nat":
         return _first_least(gens, lambda g: g.payload)
     if sid == "fuzzy":

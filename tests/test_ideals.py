@@ -80,17 +80,24 @@ def test_nat_oracle_matches_brute_force(x, gens):
 
 
 def test_nat_oracle_large_generators():
-    # same-scale generators exercise the congruence-pruned search route; both
-    # lists are already reduced (ascending, none a multiple of another)
+    # same-scale generators above the table cap: the search runs unbounded;
+    # both lists are already reduced (ascending, none a multiple of another)
     member = _nat_oracle([47 ** 5, 47 ** 4 * 49, 47 ** 3 * 49 ** 2, 49 ** 5])
     assert member(47 ** 5 + 49 ** 5)
     assert member(0)
     assert not member(47 ** 5 + 1)
-    # mixed scales exercise the residue-table route
-    member = _nat_oracle([6, 10, 47 ** 4])
+    # mixed scales: the search answers these three, and more queries outgrow
+    # its memo of six entries and read the residue table
+    gens = (6, 10, 47 ** 4)
+    member = _nat_oracle(list(gens))
     assert not member(15)  # odd, below the huge odd generator
     assert member(47 ** 4 + 3)  # even and large, so reachable
     assert member(47 ** 4 + 16)
+    assert _nat_semigroup(gens).table is None
+    eager = _eager_member(gens)
+    for x in range(47 ** 4 - 40, 47 ** 4 + 40):
+        assert member(x) == eager(x), x
+    assert _nat_semigroup(gens).table is not None
 
 
 def _eager_residue_table(gens):
@@ -123,72 +130,111 @@ def _eager_member(gens):
     return member
 
 
+class _WatchedMemo(dict):
+    """A search memo that records the most entries it ever held."""
+
+    most = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.most = max(self.most, len(self))
+
+
+def _watched(gens):
+    semigroup = _NatSemigroup(gens)
+    semigroup.memo = _WatchedMemo()
+    return semigroup, semigroup.memo
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_lazy_residue_table_matches_the_eager_one(seed):
+    # the search answers three spread generators; six or so close ones
+    # outgrow it and build the table; both routes give the eager table's
+    # answers below and above the Frobenius number, in any query order
     rng = random.Random(f"lazy-table:{seed}")
-    scale = rng.choice((1, 1, 3))
-    gens = tuple(sorted(scale * g for g in rng.sample(range(2, 300), rng.randint(2, 5))))
-    scaled = tuple(sorted(g // math.gcd(*gens) for g in gens))
-    eager = _eager_residue_table(scaled)
-    top = max(d for d in eager if d is not None) * math.gcd(*gens)
-    queries = [rng.randint(0, top + 50) for _ in range(60)] + [top, top + 1, 5 * top]
-    member = _eager_member(gens)
-    for order in (sorted(queries), sorted(queries, reverse=True), queries + queries):
-        table = _NatSemigroup(gens)
-        for x in order:
-            assert table.member(x) == member(x), (gens, x)
-        # each entry below the least open one is final and equals the eager one
-        final = [d for d in table.apery if d is not None and d < table._final]
-        assert final == [d for d in eager if d is not None and d < table._final]
-    table.member(5 * top)
-    assert table.apery == eager
+    for lo, hi, k_min, k_max, falls_back in ((3000, 9000, 3, 3, False),
+                                             (20, 300, 5, 8, True)):
+        scale = rng.choice((1, 1, 3))
+        gens = tuple(sorted(scale * g for g in rng.sample(range(lo, hi),
+                                                          rng.randint(k_min, k_max))))
+        d = math.gcd(*gens)
+        scaled = tuple(sorted(g // d for g in gens))
+        eager = _eager_residue_table(scaled)
+        frobenius = (max(eager) - scaled[0]) * d
+        queries = [rng.randint(0, frobenius + 50 * d) for _ in range(60)]
+        queries += [frobenius, frobenius + d, 5 * frobenius]
+        member = _eager_member(gens)
+        assert not member(frobenius) and member(frobenius + d)
+        for order in (sorted(queries), sorted(queries, reverse=True), queries + queries):
+            semigroup, memo = _watched(gens)
+            for x in order:
+                assert semigroup.member(x) == member(x), (gens, x)
+            assert memo.most <= scaled[0]
+            assert (semigroup.table is not None) == falls_back, gens
+        if falls_back:
+            assert semigroup.table == eager and not semigroup.memo
 
 
-def test_a_partly_filled_table_keeps_at_most_one_open_entry_per_residue():
-    # thirteen close generators leave more superseded heap entries than
-    # residues after some fills; those are dropped, and answers stay exact
+def test_the_search_memo_keeps_at_most_a_entries():
+    # thirteen close generators: the memo, shared by all queries, stops at
+    # the least generator's 27 entries; the query that would pass that
+    # builds the table and drops the memo, and answers stay exact
     gens = (27, 30, 33, 34, 35, 37, 51, 68, 76, 85, 94, 96, 101)
-    member, table = _eager_member(gens), _NatSemigroup(gens)
+    member, (semigroup, memo) = _eager_member(gens), _watched(gens)
     for x in range(0, 8 * 27, 3):
-        assert table.member(x) == member(x), x
-        assert len(table._heap) <= 27
-    assert table.apery == _eager_residue_table(gens)
+        assert semigroup.member(x) == member(x), x
+    assert memo.most == 27
+    assert semigroup.table == _eager_residue_table(gens)
+    assert semigroup.memo == {}
+
+
+def test_the_frobenius_number_of_four_close_large_generators_answers_quickly():
+    # the largest non-member: a search without the memo bound takes about
+    # 10 s and 670 MB here; the bounded one gives up at a entries and reads
+    # the table
+    gens = (100003, 100019, 100043, 100057)
+    semigroup, memo = _watched(gens)
+    assert not semigroup.member(371011316)
+    assert memo.most <= gens[0]
+    assert semigroup.table is not None and semigroup.memo == {}
+    assert max(semigroup.table) - gens[0] == 371011316
+    assert semigroup.member(371011317)
 
 
 def test_threads_share_one_lazily_filled_table():
-    # eight threads query one cached table in different orders; the lock keeps
-    # every relaxation whole, so each answer is the eager one
+    # eight threads query one cached semigroup in different orders: they
+    # share its memo until it outgrows a and one of them builds the table;
+    # each answer is the eager one
     gens = (30011, 40009, 50021)
     rng = random.Random("lazy-table:threads")
     eager = _eager_residue_table(gens)
-    # up to past the largest entry, so that the table ends full
     queries = [rng.randint(0, 2 * max(eager)) for _ in range(300)] + [2 * max(eager)]
     member = _eager_member(gens)
     expected = {x: member(x) for x in queries}
     orders = [sorted(queries), sorted(queries, reverse=True)]
     orders += [rng.sample(queries, len(queries)) for _ in range(6)]
 
-    def ask(table, start, order, answers):
+    def ask(semigroup, start, order, answers):
         start.wait()
-        answers.append({x: table.member(x) for x in order})
+        answers.append({x: semigroup.member(x) for x in order})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for _ in range(3):
             _nat_semigroup.cache_clear()
-            table, answers = _nat_semigroup(gens), []
+            semigroup, answers = _nat_semigroup(gens), []
             start = threading.Barrier(len(orders), timeout=60)
-            threads = [threading.Thread(target=ask, args=(table, start, order, answers))
+            threads = [threading.Thread(target=ask, args=(semigroup, start, order, answers))
                        for order in orders]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
                 assert not t.is_alive()
-            assert _nat_semigroup(gens) is table
+            assert _nat_semigroup(gens) is semigroup
             assert answers == [expected] * 8
-            assert table.apery == eager
+            assert semigroup.table == eager and semigroup.memo == {}
     finally:
         sys.setswitchinterval(interval)
 
@@ -248,6 +294,9 @@ def test_bool_poly_shape_pass_keeps_membership(x, shifted):
     shapes = [frozenset(e - min(g) for e in g) for g in I.payloads if g]
     assert len(shapes) == len(set(shapes))
     assert I.contains(bp.element(x)) == brute_bool_member(x, gens)
+    # and no kept generator lies in the ideal of the others
+    for i, g in enumerate(I.payloads):
+        assert not g or not _bool_poly_member(g, I.payloads[:i] + I.payloads[i + 1:])
 
 
 def test_bool_poly_powers_keep_one_generator_per_shape():
@@ -255,11 +304,24 @@ def test_bool_poly_powers_keep_one_generator_per_shape():
     bp = get_instance("bool-poly")
     I = parse_ideal("ideal[1+X, X^2+X^3, 1+X^4]", bp)
     assert str(I) == "ideal[1 + X, 1 + X^4]"
-    # (1+X)^a (1+X^4)^b with a + b = 6; each shape once
-    assert len(ideal_power(I, 6).generators) == 7
+    # (1+X)^a (1+X^4)^b with a + b = 6 gives 7 shapes; the three with
+    # a = 3, 4, 5 are consecutive runs X^0..X^(a+4(6-a)), which (1+X)^6
+    # times a run generates, so 4 generators stay
+    assert len(ideal_power(I, 6).generators) == 4
+    assert str(ideal_power(I, 6)).startswith("ideal[1 + X + X^2 + X^3 + X^4 + X^5 + X^6, ")
     # the least shift takes the place where its shape was first seen
     J = make_ideal(bp, [bp.element({2}), bp.element({0, 1})])
     assert str(ideal_sum(make_ideal(bp, [bp.element({4})]), J)) == "ideal[X^2, 1 + X]"
+
+
+def test_bool_poly_drops_a_generator_the_others_generate():
+    # 1 + X + X^2 = (1 + X) + X(1 + X) lies in (1 + X), in either order
+    from semival.grammar import parse_ideal
+    bp = get_instance("bool-poly")
+    for text in ("ideal[1+X, 1+X+X^2]", "ideal[1+X+X^2, 1+X]"):
+        assert str(parse_ideal(text, bp)) == "ideal[1 + X]"
+    # neither of X and 1 + X generates the other
+    assert str(parse_ideal("ideal[X, 1+X]", bp)) == "ideal[X, 1 + X]"
 
 
 def test_bool_poly_oracle_cost_follows_terms_not_degree(capsys):

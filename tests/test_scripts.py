@@ -19,6 +19,7 @@ SRC = ROOT / "src"
 SCRIPT_STDOUT_SHA256 = {
     "law_survey.py": "80070874153612f313e92a00bbb8ada883cfd0519242db869216ebd36d8e4a79",
     "dvs_tour.py": "3169169c7ced4657a4f8b2d8ae003b6b02f6fbfe2f6278dc0b3d8f60cc2c3292",
+    "nat_routes.py": "52050ab164e1295bdb5cbc29d936cfc406e569b7a0c31161043cd8702633ca47",
 }
 
 
