@@ -36,9 +36,6 @@ class DifferencePair:
     def __le__(self, other):
         return self.pos + other.neg <= self.neg + other.pos
 
-    def __lt__(self, other):
-        return self.pos + other.neg < self.neg + other.pos
-
     def __str__(self):
         return f"({self.pos} - {self.neg})"
 

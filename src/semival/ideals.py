@@ -52,8 +52,6 @@ from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
 from .valuation import Valuation, in_positive_ideal, in_valuation_semiring
 
-_TABLE_CAP = 150_000  # least scaled generator above which no table is built
-
 
 @lru_cache(maxsize=2048)
 def _nat_semigroup(gens: tuple[int, ...]) -> "_NatSemigroup":
@@ -75,8 +73,8 @@ class _NatSemigroup:
     The memo may hold at most a entries, the size of the residue table that
     decides any query by one lookup; a query that would pass that builds the
     table, drops the memo and reads its answer, and later queries read the
-    table.  Above _TABLE_CAP the search runs unbounded.  Both routes are
-    exact.
+    table.  The bound holds at every size, so a query keeps at most a memo
+    entries and then a table entries, never both.  Both routes are exact.
 
     The table holds n[r], the least semigroup element congruent to r modulo
     a (Nijenhuis, Amer. Math. Monthly 86, 1979), so y is a member iff
@@ -103,8 +101,7 @@ class _NatSemigroup:
             d = math.gcd(g, m)
             self.levels.insert(0, (g, m, d, m // d, pow(g // d, -1, m // d)))
             m = d
-        a = desc[-1]
-        self.limit = a if a <= _TABLE_CAP else math.inf  # most memo entries
+        self.limit = desc[-1]  # most memo entries: the table's size
         self.memo: dict = {}
         self.table = None
         self._lock = threading.Lock()
@@ -192,7 +189,10 @@ class _NatSemigroup:
 def _nat_reduce(gens: tuple[int, ...]) -> tuple[int, ...]:
     kept: list = []
     for v in sorted({g for g in gens if g > 0}):
-        if not any(v % w == 0 for w in kept):
+        for w in kept:
+            if v % w == 0:
+                break
+        else:
             kept.append(v)
     return tuple(kept) or (0,)
 
@@ -366,17 +366,6 @@ class FinGenIdeal:
         if self.dvs is not None:
             return self.dvs.contains
         return None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        eq = self.instance._eq
-        return (self.instance is other.instance and self.dvs == other.dvs
-                and len(self.payloads) == len(other.payloads)
-                and all(map(eq, self.payloads, other.payloads)))
-
-    # payloads compare by the instance's equality, which has no hash
-    __hash__ = None
 
     def __str__(self) -> str:
         return "ideal[" + ", ".join(map(self.instance._text, self.payloads)) + "]"

@@ -63,15 +63,6 @@ class Element:
     # which no structural hash exists; elements are therefore unhashable.
     __hash__ = None
 
-    def __add__(self, other):
-        return self.semiring.add(self, other)
-
-    def __mul__(self, other):
-        return self.semiring.mul(self, other)
-
-    def __pow__(self, n: int):
-        return self.semiring.power(self, n)
-
     def is_zero(self) -> bool:
         return self.semiring._eq(self.payload, self.semiring.zero.payload)
 

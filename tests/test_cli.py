@@ -21,6 +21,32 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, argv=(), **kwargs):
+    """Run code in a fresh interpreter on this checkout's sources."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, **kwargs)
+
+
+def cli_process(argv, setup="", **kwargs):
+    """Run the CLI on argv in a fresh interpreter, after the code setup."""
+    return fresh_python(f"{setup}import sys; from semival.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", argv, **kwargs)
+
+
+def test_the_package_exports_nothing():
+    # import from the submodules: the package loads none of them
+    assert (SRC / "semival" / "__init__.py").is_file()
+    out = fresh_python("import sys, semival; print(sorted(m for m in sys.modules "
+                       "if m.startswith('semival.')))", timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_valuate(capsys):
     code, out, _ = run(capsys, "valuate", "--semiring", "nat",
                        "--valuation", "vp:5", "50")
@@ -28,6 +54,12 @@ def test_valuate(capsys):
     code, out, _ = run(capsys, "valuate", "--semiring", "nat",
                        "--valuation", "vp:5", "0")
     assert code == 0 and out.strip() == "inf"
+
+
+def test_valuate_a_rational_coefficient_over_fractions(capsys):
+    code, out, _ = run(capsys, "valuate", "--semiring", "poly(fractions(nat))",
+                       "--valuation", "low-order", "1/2 + X")
+    assert code == 0 and out == "0\n"
 
 
 def test_valuate_json_fields(capsys):
@@ -232,14 +264,22 @@ def test_nat_membership_at_the_frobenius_number_does_not_hang():
     # 371011316 is the largest non-member of this semigroup; with the memo
     # bound a process answers in well under a second, without it in about
     # 10 s and 670 MB
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
-    argv = ["ideal", "--semiring", "nat", "--op", "contains", "--output", "json",
-            "ideal[100003, 100019, 100043, 100057]", "371011316"]
-    out = subprocess.run([sys.executable, "-c", "import sys; from semival.cli import main; "
-                          "sys.exit(main(sys.argv[1:]))", *argv],
-                         env=env, capture_output=True, text=True, timeout=5)
+    out = cli_process(["ideal", "--semiring", "nat", "--op", "contains", "--output",
+                       "json", "ideal[100003, 100019, 100043, 100057]", "371011316"],
+                      timeout=5)
+    assert out.returncode == 1, out.stderr
+    assert json.loads(out.stdout)["result"] == "false"
+
+
+def test_nat_membership_above_200000_answers_within_a_memory_limit():
+    # 4000660031 is the largest non-member; the memo bound, a at every size,
+    # hands the query to the table (about 0.4 s and 40 MB), where a search
+    # without it ran 41 s and ended in MemoryError
+    out = cli_process(["ideal", "--semiring", "nat", "--op", "contains", "--output",
+                       "json", "ideal[200003, 200009, 200017, 200023]", "4000660031"],
+                      setup="import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                            "(1 << 30, 1 << 30)); ",  # 1 GB, on the child only
+                      timeout=30)
     assert out.returncode == 1, out.stderr
     assert json.loads(out.stdout)["result"] == "false"
 

@@ -18,6 +18,7 @@ from semival.dvs import (
     value_group_valuation,
 )
 from semival.extended import ExtendedValue
+from semival.grammar import parse_element
 from semival.instances import get_instance
 from semival.reports import SampleSpec
 from semival.valuation import valuate
@@ -237,6 +238,21 @@ def test_integral_check_matches_brute_force(qnn5):
     assert integral_check(qnn5, qnn.element(Fraction(2, 5)), 2, pool).holds
     with pytest.raises(ValueError):
         integral_check(qnn5, qnn.element(u), 2, [qnn.element(Fraction(1, 5))])
+
+
+def test_integral_check_off_the_subtractive_carrier(structures):
+    # fractions compare by cross multiplication, so each side is matched
+    # against every sum; the maximal ideal here is not subtractive, and
+    # 1/(1+X) outside the carrier is integral over it
+    D = structures["degree-bounded fractions"]
+    amb = D.ambient
+    assert not amb.structural_eq
+    pool = [parse_element(t, amb) for t in ("0", "1", "X/(1+X)", "X")]
+    report = integral_check(D, parse_element("1/(1+X)", amb), 2, pool)
+    assert not report.holds and report.detail == "degree 1 witness"
+    assert report.witness[1] == amb.one  # 1/(1+X) + X/(1+X) = 1
+    report = integral_check(D, parse_element("1/X", amb), 2, pool)
+    assert report.holds and report.detail == "no witness up to degree 2"
 
 
 def test_value_group_valuation_agrees(qnn5):

@@ -49,6 +49,12 @@ def test_rational_and_negative_literals():
         parse_element("inf", get_instance("nat"))
 
 
+def test_rational_literals_over_a_fractions_base():
+    # a rational literal becomes numerator/denominator in the base
+    poly = get_instance("poly(fractions(nat))")
+    assert str(parse_element("(1/2)*X^2 + 3/4", poly)) == "(3)/(4) + (1)/(2)*X^2"
+
+
 def test_exponent_domain_enforcement():
     with pytest.raises(Exception):
         parse_element("X^-1", get_instance("poly(nat)"))

@@ -17,6 +17,7 @@ from semival.ideals import (
     IntervalIdeal,
     _bool_poly_oracle,
     _nat_oracle,
+    _nat_reduce,
     _nat_semigroup,
     _NatSemigroup,
     fuzzy_ideal_classify,
@@ -80,8 +81,9 @@ def test_nat_oracle_matches_brute_force(x, gens):
 
 
 def test_nat_oracle_large_generators():
-    # same-scale generators above the table cap: the search runs unbounded;
-    # both lists are already reduced (ascending, none a multiple of another)
+    # same-scale generators near 47^5: the search answers these three long
+    # before its memo nears a, so no table of a entries is built; both lists
+    # are already reduced (ascending, none a multiple of another)
     member = _nat_oracle([47 ** 5, 47 ** 4 * 49, 47 ** 3 * 49 ** 2, 49 ** 5])
     assert member(47 ** 5 + 49 ** 5)
     assert member(0)
@@ -199,6 +201,47 @@ def test_the_frobenius_number_of_four_close_large_generators_answers_quickly():
     assert semigroup.table is not None and semigroup.memo == {}
     assert max(semigroup.table) - gens[0] == 371011316
     assert semigroup.member(371011317)
+
+
+def test_the_frobenius_number_of_generators_above_200000_builds_the_table():
+    # the memo bound is a at every size: the search gives up after at most a
+    # entries and the table of a entries answers
+    gens = (200003, 200009, 200017, 200023)
+    semigroup, memo = _watched(gens)
+    assert not semigroup.member(4000660031)
+    assert memo.most <= gens[0]
+    assert semigroup.table is not None and semigroup.memo == {}
+    assert max(semigroup.table) - gens[0] == 4000660031
+    assert semigroup.member(4000660032)
+
+
+def test_nat_reduce_keeps_the_generators_no_smaller_one_divides():
+    def reference(gens):
+        kept = []
+        for v in sorted({g for g in gens if g > 0}):
+            if not any(v % w == 0 for w in kept):
+                kept.append(v)
+        return tuple(kept) or (0,)
+
+    rng = random.Random("nat-reduce")
+    for _ in range(500):
+        gens = tuple(rng.randint(0, 1600) for _ in range(rng.randint(1, 60)))
+        assert _nat_reduce(gens) == reference(gens), gens
+    assert _nat_reduce((0, 0)) == (0,)
+
+
+def test_criterion_10_brute_force_oracle_matches_the_residue_table():
+    # the suite re-verifies criterion 10's witness with this oracle; its
+    # search loop must agree with the table on every x, not just those
+    # its generator filter decides
+    from semival.suite import _brute_nat_member
+
+    rng = random.Random("brute-nat-oracle")
+    for _ in range(40):
+        gens = rng.sample(range(1, 40), rng.randint(1, 4))
+        member = _eager_member(gens)
+        for x in range(0, 200):
+            assert _brute_nat_member(x, gens) == member(x), (gens, x)
 
 
 def test_threads_share_one_lazily_filled_table():
