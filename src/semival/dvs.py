@@ -7,19 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .extended import ExtendedValue, _nonnegative, _raw_lt
-from .ideals import (
-    FinGenIdeal,
-    _ideal,
-    _threshold,
-    ideal_equal,
-    make_ideal,
-    principal,
-)
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .sampling import stream
 from .semiring import Element, Semiring
 from .valuation import (
     Valuation,
@@ -27,6 +19,11 @@ from .valuation import (
     in_valuation_semiring,
     valuate,
 )
+
+# normal forms and division need neither .ideals nor .sampling: a structure
+# imports .ideals once, on its first ideal, and sample_carrier .sampling
+if TYPE_CHECKING:
+    from .ideals import FinGenIdeal
 
 _VALUE_SEARCH_LIMIT = 4096
 
@@ -72,6 +69,8 @@ class DVSStructure:
 
     def sample_carrier(self, spec: SampleSpec, salt: str = "",
                        nonzero: bool = False) -> list[Element]:
+        from .sampling import stream
+
         amb, raw = self.ambient, self.valuation.payload_fn
         eq, zero = amb._eq, amb._zero()
 
@@ -104,15 +103,23 @@ class DVSStructure:
         """The principal ideal (t^n) of the carrier, n >= 0; built once per n."""
         ideals = self._power_ideals
         if n not in ideals:
-            ideals[n] = _ideal(self.ambient, (self.power_payload(n),), self)
+            ideals[n] = self._ideals._ideal(self.ambient, (self.power_payload(n),), self)
         return ideals[n]
+
+    @cached_property
+    def _ideals(self):
+        """The ideals module, imported on the first ideal of the structure,
+        so that no import runs per ideal built."""
+        from . import ideals
+
+        return ideals
 
     @cached_property
     def ideal_rule(self):
         """The threshold rule of the carrier's ideals, keyed on the raw value
         of a generator's payload (None, inf, for zero); a negative key lies
         outside the carrier."""
-        return _threshold(self.valuation.payload_fn, text=self.ambient._text)
+        return self._ideals._threshold(self.valuation.payload_fn, text=self.ambient._text)
 
     def normal_form_payload(self, p) -> tuple[object, int]:
         """(unit, n) with p = unit * t^n and n = v(p), for nonzero p."""
@@ -169,7 +176,7 @@ def dvs_ideal_of(D: DVSStructure, I: FinGenIdeal) -> int:
     (g,) = I.payloads
     n = D.valuation.payload_fn(g)
     power = D.power_ideal(n)
-    if not ideal_equal(I, power):
+    if not D._ideals.ideal_equal(I, power):
         raise AssertionError(f"normalisation of {I} failed at n={n}")
     return n
 
@@ -293,9 +300,9 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
 
 
 def carrier_principal(D: DVSStructure, x: Element) -> FinGenIdeal:
-    return principal(D.ambient, x, dvs=D)
+    return D._ideals.principal(D.ambient, x, dvs=D)
 
 
 def carrier_ideal(D: DVSStructure, generators) -> FinGenIdeal:
     """Raises ValueError for a generator outside the carrier."""
-    return make_ideal(D.ambient, generators, dvs=D)
+    return D._ideals.make_ideal(D.ambient, generators, dvs=D)

@@ -16,11 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from typing import TYPE_CHECKING
 
-from .content import ContentPolynomial, cp_add, cp_mul, make_content_poly
-from .ideals import IntervalIdeal, make_ideal
 from .instances import FractionSemiring, MonoidSemiring, split_top_level
 from .semiring import Element, Semiring
+
+# parsing an element needs neither .content nor .ideals: the content and
+# ideal parsers import them when they run
+if TYPE_CHECKING:
+    from .content import ContentPolynomial
 
 
 class ParseError(ValueError):
@@ -255,29 +259,6 @@ def parse_element(text: str, instance: Semiring) -> Element:
     return _eval_element(_parse_ast(text), instance)
 
 
-def _eval_content(node, instance: Semiring) -> ContentPolynomial:
-    kind = node[0]
-    if kind == "name" and node[1] == "Y":
-        return make_content_poly(instance, [instance.zero, instance.one])
-    if kind == "add":
-        return cp_add(_eval_content(node[1], instance),
-                      _eval_content(node[2], instance))
-    if kind == "mul":
-        return cp_mul(_eval_content(node[1], instance),
-                      _eval_content(node[2], instance))
-    if kind == "pow" and isinstance(node[2], int) and _mentions_y(node[1]):
-        if node[2] < 0:
-            raise ValueError("negative powers of Y are not polynomials")
-        base = _eval_content(node[1], instance)
-        out = make_content_poly(instance, [instance.one])
-        for _ in range(node[2]):
-            out = cp_mul(out, base)
-        return out
-    if _mentions_y(node):
-        raise ValueError("Y may only appear in sums, products and powers")
-    return make_content_poly(instance, [_eval_element(node, instance)])
-
-
 def _mentions_y(node) -> bool:
     if node[0] == "name":
         return node[1] == "Y"
@@ -292,13 +273,37 @@ def _mentions_y(node) -> bool:
 def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial:
     """Parse a polynomial in the fresh indeterminate Y with coefficients in
     the given instance."""
-    return _eval_content(_parse_ast(text), instance)
+    from .content import cp_add, cp_mul, make_content_poly
+
+    def evaluate(node) -> ContentPolynomial:
+        kind = node[0]
+        if kind == "name" and node[1] == "Y":
+            return make_content_poly(instance, [instance.zero, instance.one])
+        if kind == "add":
+            return cp_add(evaluate(node[1]), evaluate(node[2]))
+        if kind == "mul":
+            return cp_mul(evaluate(node[1]), evaluate(node[2]))
+        if kind == "pow" and isinstance(node[2], int) and _mentions_y(node[1]):
+            if node[2] < 0:
+                raise ValueError("negative powers of Y are not polynomials")
+            base = evaluate(node[1])
+            out = make_content_poly(instance, [instance.one])
+            for _ in range(node[2]):
+                out = cp_mul(out, base)
+            return out
+        if _mentions_y(node):
+            raise ValueError("Y may only appear in sums, products and powers")
+        return make_content_poly(instance, [_eval_element(node, instance)])
+
+    return evaluate(_parse_ast(text))
 
 
 def parse_ideal(text: str, instance: Semiring, dvs=None):
     """Parse ``ideal[e1, ...]`` into a finitely generated ideal, or
     ``fuzzy[0,a]`` / ``fuzzy[0,a)`` into an interval ideal.  Nesting is
     bounded by ``parse_element``, which parses every part."""
+    from .ideals import IntervalIdeal, make_ideal
+
     stripped = text.strip()
     if stripped.startswith("ideal[") and stripped.endswith("]"):
         inner = stripped[len("ideal["):-1]

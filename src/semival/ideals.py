@@ -10,7 +10,8 @@ first query.
 
   nat           drop multiples of smaller generators; x is a member iff it is
                 a nonnegative integer combination: a memoised search first,
-                the residue table once the memo would outgrow it (see
+                the residue table once the memo would outgrow it, and a
+                refusal where that table would pass a size budget (see
                 _NatSemigroup)
   ideals-z      (g1),...,(gk) generate the multiples of their gcd: keep it
   bool-poly     X^s * g lies in (g): keep the least shift of each exponent
@@ -43,14 +44,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, islice
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .extended import _raw_lt, _raw_min
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .sampling import pair_stream
 from .semiring import Element, Semiring, UnsupportedOperationError
-from .valuation import Valuation, in_positive_ideal, in_valuation_semiring
+
+# membership on generator lists needs neither .sampling nor .valuation:
+# the sampled checks and LevelIdeal import them when they run
+if TYPE_CHECKING:
+    from .valuation import Valuation
+
+# most entries a nat semigroup's memo or residue table may hold
+_TABLE_BUDGET = 1 << 20
 
 
 @lru_cache(maxsize=2048)
@@ -59,7 +66,7 @@ def _nat_semigroup(gens: tuple[int, ...]) -> "_NatSemigroup":
 
 
 class _Outgrown(Exception):
-    """A search whose memo would outgrow the residue table."""
+    """A search whose memo would pass its limit."""
 
 
 class _NatSemigroup:
@@ -70,10 +77,14 @@ class _NatSemigroup:
     answered at once.  Any other first runs a congruence-pruned search over
     the multiplier ranges, largest generator first, with one memo shared by
     all queries (with two generators the search is one step and keeps none).
-    The memo may hold at most a entries, the size of the residue table that
-    decides any query by one lookup; a query that would pass that builds the
-    table, drops the memo and reads its answer, and later queries read the
-    table.  The bound holds at every size, so a query keeps at most a memo
+    The memo may hold at most min(a, _TABLE_BUDGET) entries; a is the size
+    of the residue table that decides any query by one lookup.  A query that
+    would pass that bound builds the table, drops the memo and reads its
+    answer, and later queries read the table.  Where a is over the budget
+    no table is built.  Each query then searches with a memo of its own, so
+    whether it answers depends on the query alone, and one that would pass
+    the budget is refused with a ValueError naming both numbers and drops
+    its memo.  So a semigroup keeps at most min(a, _TABLE_BUDGET) memo
     entries and then a table entries, never both.  Both routes are exact.
 
     The table holds n[r], the least semigroup element congruent to r modulo
@@ -101,7 +112,7 @@ class _NatSemigroup:
             d = math.gcd(g, m)
             self.levels.insert(0, (g, m, d, m // d, pow(g // d, -1, m // d)))
             m = d
-        self.limit = desc[-1]  # most memo entries: the table's size
+        self.limit = min(desc[-1], _TABLE_BUDGET)  # most memo entries
         self.memo: dict = {}
         self.table = None
         self._lock = threading.Lock()
@@ -116,10 +127,19 @@ class _NatSemigroup:
         if table is None:
             if y in self.desc or y < self.desc[-1]:
                 return y in self.desc
+            a = self.desc[-1]
+            if a > _TABLE_BUDGET:
+                self.memo = {}  # the query's own: see the class docstring
             try:
                 return self._search(y, 0)
             except _Outgrown:
                 pass  # leave the handler first: its traceback holds the memo
+            if a > _TABLE_BUDGET:
+                self.memo = {}
+                raise ValueError(
+                    f"nat ideal membership: the search outgrew the budget of "
+                    f"{_TABLE_BUDGET} entries, and the residue table would "
+                    f"need {a}")
             table = self._build()
         return table[y % self.desc[-1]] <= y
 
@@ -470,6 +490,8 @@ def ideal_equal(I: FinGenIdeal, J: FinGenIdeal) -> bool:
 
 def is_subtractive_bounded(ideal, spec: SampleSpec) -> LawReport:
     """Sampled search for a + b in I with a in I but b outside."""
+    from .sampling import pair_stream
+
     instance = ideal.instance
     law = f"subtractive[{instance.sid}]"
     add = instance.add
@@ -484,6 +506,8 @@ def is_subtractive_bounded(ideal, spec: SampleSpec) -> LawReport:
 def is_prime_bounded(ideal, spec: SampleSpec) -> LawReport:
     """Sampled search for a product inside a proper ideal with both factors
     outside."""
+    from .sampling import pair_stream
+
     instance = ideal.instance
     if ideal.contains(instance.one):
         raise ValueError("primality is only defined for proper ideals")
@@ -509,10 +533,18 @@ class LevelIdeal:
     def instance(self) -> Semiring:
         return self.valuation.source
 
+    def __post_init__(self):
+        # bound once per ideal: an import statement costs more than a query
+        from .valuation import in_positive_ideal
+
+        object.__setattr__(self, "_in_positive_ideal", in_positive_ideal)
+
     def contains(self, x: Element) -> bool:
-        return in_positive_ideal(self.valuation, x)
+        return self._in_positive_ideal(self.valuation, x)
 
     def domain_filter(self):
+        from .valuation import in_valuation_semiring
+
         v = self.valuation
         return lambda x: in_valuation_semiring(v, x)
 

@@ -31,8 +31,9 @@ from .extended import (
 )
 from .instances import FractionSemiring, MonoidSemiring, TropicalSemiring, get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .sampling import pair_stream, stream
 from .semiring import Element, Semiring
+
+# valuate never samples: the three sampled checks import .sampling as they run
 
 # rule results lie in their domain by construction, so they skip validation
 _value = ExtendedValue._unchecked
@@ -116,6 +117,8 @@ def level_membership(v: Valuation, x: Element, alpha: ExtendedValue) -> bool:
 def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
     """Sampled check of multiplicativity, the min inequality, v(1) = 0 and
     v(0) = inf."""
+    from .sampling import pair_stream
+
     law = f"valuation-axioms[{v.rule}@{v.source.sid}]"
     zero_val = v.zero_value
     if valuate(v, v.source.one) != zero_val:
@@ -136,6 +139,8 @@ def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
 
 def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
     """Search sampled pairs with v(x) != v(y) for v(x+y) != min{v(x),v(y)}."""
+    from .sampling import pair_stream
+
     src, raw, dom = v.source, v.payload_fn, v.domain
     add = src._add
     for x, y in pair_stream(src, spec, salt=f"minp:{v.rule}"):
@@ -154,6 +159,8 @@ def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
 def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
     """Compare, over sampled elements of the nonnegative subsemiring, the
     closed-form unit test against the predicate v(x) = 0."""
+    from .sampling import stream
+
     law = f"units-zeroset[{v.rule}@{v.source.sid}]"
     raw, values = v.payload_fn, []
 

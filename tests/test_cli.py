@@ -47,6 +47,52 @@ def test_the_package_exports_nothing():
     assert out.stdout == "[]\n"
 
 
+_CALCULATOR = {"cli", "reports", "instances", "extended", "semiring", "grammar"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["valuate", "--semiring", "nat", "--valuation", "vp:5", "50"],
+     _CALCULATOR | {"valuation"}),
+    (["factor", "--semiring", "qnn", "--valuation", "vp:5", "50/3"],
+     _CALCULATOR | {"valuation", "dvs"}),
+    (["divmod", "--semiring", "qnn", "--valuation", "vp:5", "50/3", "7"],
+     _CALCULATOR | {"valuation", "dvs"}),
+    (["ideal", "--semiring", "nat", "--op", "contains", "ideal[3, 5]", "7"],
+     _CALCULATOR | {"ideals"}),
+    (["ideal", "--semiring", "ideals-z", "--op", "contains", "ideal[4, 6]", "8"],
+     _CALCULATOR | {"ideals"}),
+], ids=["valuate", "factor", "divmod", "ideal-nat", "ideal-ideals-z"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # a cold process compiles every module it loads; the command prints its
+    # answer, then the semival modules loaded by the time it exited
+    out = cli_process(argv, setup="import atexit, sys; atexit.register(lambda: "
+                      "print(sorted(m[8:] for m in sys.modules if "
+                      "m.startswith('semival.')))); ", timeout=30)
+    assert out.returncode in (0, 1) and out.stderr == ""
+    assert out.stdout.splitlines()[-1] == str(sorted(modules))
+
+
+@pytest.mark.parametrize("argv", [
+    *(["check", "--semiring", "fractions(poly(nat))", "--valuation", "deg-frac",
+       "--property", prop] for prop in sorted(CHECKS)),
+    ["check", "--semiring", "nat", "--property", "total-order"],
+    *(["ideal", "--semiring", "nat", "--op", op, "ideal[6, 10]", "ideal[15]"]
+      for op in ("sum", "product", "comparable")),
+    ["ideal", "--semiring", "nat", "--op", "contains", "ideal[6, 10]", "16"],
+    ["ideal", "--semiring", "nat", "--op", "subtractive", "ideal[6, 10]"],
+    ["ideal", "--semiring", "qnn", "--valuation", "vp:5", "--op", "subtractive",
+     "ideal[5]"],
+    ["ideal", "--semiring", "fuzzy", "--op", "comparable", "fuzzy[0,1/2]",
+     "ideal[1/3]"],
+], ids=" ".join)
+def test_every_command_path_runs_in_a_fresh_process(argv):
+    # a name a lazy import missed raises NameError, which would exit 1, the
+    # code of a counterexample: each path must answer without a traceback
+    out = cli_process([*argv, "--samples", "20"], timeout=60)
+    assert out.returncode in (0, 1), out.stderr
+    assert "Traceback" not in out.stderr and out.stdout
+
+
 def test_valuate(capsys):
     code, out, _ = run(capsys, "valuate", "--semiring", "nat",
                        "--valuation", "vp:5", "50")
@@ -282,6 +328,22 @@ def test_nat_membership_above_200000_answers_within_a_memory_limit():
                       timeout=30)
     assert out.returncode == 1, out.stderr
     assert json.loads(out.stdout)["result"] == "false"
+
+
+def test_nat_membership_past_the_table_budget_exits_2_within_a_memory_limit():
+    # the least generator is over the 2^20-entry budget: the search gives up
+    # at 2^20 memo entries (about 1 s and 110 MB) and the query is refused,
+    # where without the budget it ran out of memory
+    out = cli_process(["ideal", "--semiring", "nat", "--op", "contains",
+                       "ideal[229345007, 229345009, 229345013, 229345019]",
+                       "8766000000000000"],
+                      setup="import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                            "(1 << 30, 1 << 30)); ",  # 1 GB, on the child only
+                      timeout=30)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: nat ideal membership: the search outgrew the "
+                          "budget of 1048576 entries, and the residue table would "
+                          "need 229345007\n")
 
 
 @pytest.mark.parametrize("op, args", [("contains", ["ideal[1/5]", "1"]),

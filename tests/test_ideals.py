@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semival.ideals as ideals
 from semival.ideals import (
     FinGenIdeal,
     IntervalIdeal,
@@ -213,6 +214,38 @@ def test_the_frobenius_number_of_generators_above_200000_builds_the_table():
     assert semigroup.table is not None and semigroup.memo == {}
     assert max(semigroup.table) - gens[0] == 4000660031
     assert semigroup.member(4000660032)
+
+
+def test_the_search_memo_stops_at_the_table_budget(monkeypatch):
+    # a budget of 64 entries under a least generator of 30011: a query that
+    # would pass it is refused by name, builds no table and leaves the memo
+    # empty; each query searches with a memo of its own, so one answered
+    # alone is answered after any other
+    monkeypatch.setattr(ideals, "_TABLE_BUDGET", 64)
+    gens = (30011, 40009, 50021)
+    member = _eager_member(gens)
+    semigroup = _NatSemigroup(gens)
+    with pytest.raises(ValueError) as refused:
+        semigroup.member(10000003)
+    assert str(refused.value) == ("nat ideal membership: the search outgrew the "
+                                  "budget of 64 entries, and the residue table "
+                                  "would need 30011")
+    assert semigroup.table is None and semigroup.memo == {}
+    answered, most = 0, 0
+    for x in [70020, 360140, 123456789, *range(3000000, 3000400)]:
+        try:
+            answer = _NatSemigroup(gens).member(x)
+        except ValueError:
+            continue
+        assert semigroup.member(x) == answer == member(x), x
+        answered, most = answered + 1, max(most, len(semigroup.memo))
+    assert answered == 403 and 48 < most <= 64
+    assert semigroup.table is None
+
+
+def test_the_table_budget_bounds_the_memo_only_above_it():
+    assert _NatSemigroup((229345007, 229345009)).limit == ideals._TABLE_BUDGET == 1 << 20
+    assert _NatSemigroup((200003, 200009)).limit == 200003
 
 
 def test_nat_reduce_keeps_the_generators_no_smaller_one_divides():

@@ -2,6 +2,7 @@
 recorded, so a refactor of the library cannot change them unnoticed."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -63,3 +64,22 @@ def test_stream_cost_lists_every_stream():
     assert list(rows) == labels
     for figures in rows.values():
         assert len(figures) == 4 and all(float(f) >= 0 for f in figures)
+
+
+def test_cold_start_lists_every_command(capsys):
+    # its figures are timings, so only its rows are checked, over one round
+    spec = importlib.util.spec_from_file_location("cold_start",
+                                                  ROOT / "scripts" / "cold_start.py")
+    cold_start = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cold_start)
+    cold_start.main(rounds=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("cold start, median wall ms of 1 fresh processes")
+    timed = dict(line.rsplit(None, 1) for line in lines[1:6])
+    assert [label.strip() for label in timed] == list(cold_start.COMMANDS)
+    assert all(float(ms) > 0 for ms in timed.values())
+    assert lines[6] == "semival modules each command loads; * marks current bytecode"
+    loaded = {line[:18].strip(): line[18:].split() for line in lines[7:]}
+    assert list(loaded) == list(cold_start.COMMANDS)[1:]
+    for names in loaded.values():
+        assert {name.rstrip("*") for name in names} >= {"cli", "grammar", "instances"}
