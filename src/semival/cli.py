@@ -106,32 +106,19 @@ def _need_dvs(args) -> DVSStructure:
     return dvs_structure(args.valuation, get_instance(args.semiring))
 
 
-def _axioms(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .laws import check_semiring_axioms
-    from .valuation import check_valuation_axioms
-
-    if valuation is not None:
-        return check_valuation_axioms(valuation, spec)
-    return check_semiring_axioms(instance, spec)
-
-
-def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .dvs import dvs_structure
+def _total_order_check(instance, dvs: DVSStructure | None,
+                       spec: SampleSpec) -> LawReport:
     from .ideals import first_incomparable_pair, make_ideal
     from .sampling import stream
 
     law = f"ideals-total-order[{instance.sid}]"
-    dvs = None
     pool_spec = SampleSpec(spec.seed, 90, min(spec.size_bound, 12))
-    if args.valuation:
-        dvs = dvs_structure(args.valuation, instance)
+    if dvs is not None:
         pool = dvs.sample_carrier(pool_spec, salt="cli-ideals", nonzero=True)
-        inst = dvs.ambient
     else:
         pool = [x for x in stream(instance, pool_spec, salt="cli-ideals")
                 if not x.is_zero()]
-        inst = instance
-    ideals = [make_ideal(inst, pool[i: i + 2], dvs=dvs)
+    ideals = [make_ideal(dvs.ambient if dvs else instance, pool[i: i + 2], dvs=dvs)
               for i in range(0, len(pool) - 1, 2)]
     k = len(ideals)
     pairs = k * (k - 1) // 2
@@ -147,16 +134,10 @@ def _total_order_check(args, instance, valuation, spec: SampleSpec) -> LawReport
                      f"compared {compared} of {pairs} pairs")
 
 
-def _gaussian(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .content import gaussian_check
-
-    return gaussian_check(_need_dvs(args) if args.valuation else instance, spec)
-
-
-def _dedekind_mertens(args, instance, valuation, spec: SampleSpec) -> LawReport:
+def _dedekind_mertens(instance, dvs: DVSStructure | None,
+                      spec: SampleSpec) -> LawReport:
     from .content import content_pairs, dedekind_mertens_check
 
-    dvs = _need_dvs(args) if args.valuation else None
     for f, g in content_pairs(dvs or instance, spec):
         report = dedekind_mertens_check(f, g, dvs, spec)
         if not report.holds:
@@ -164,78 +145,63 @@ def _dedekind_mertens(args, instance, valuation, spec: SampleSpec) -> LawReport:
     return LawReport(f"dedekind-mertens[{instance.sid}]", "holds", spec)
 
 
-def _mc(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .laws import probe_mc
-
-    return probe_mc(instance, spec)
-
-
-def _entire(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .laws import probe_entire
-
-    return probe_entire(instance, spec)
-
-
-def _min_property(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .valuation import check_min_property
-
-    return check_min_property(valuation, spec)
-
-
-def _subtractive(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .ideals import is_subtractive_bounded, positive_ideal
-
-    return is_subtractive_bounded(positive_ideal(valuation), spec)
-
-
-def _prime(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .ideals import is_prime_bounded, positive_ideal
-
-    return is_prime_bounded(positive_ideal(valuation), spec)
-
-
-def _units_zeroset(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .valuation import units_vs_zeroset
-
-    return units_vs_zeroset(valuation, spec)
-
-
-def _extension_axioms(args, instance, valuation, spec: SampleSpec) -> LawReport:
-    from .fracfield import extend_valuation
-    from .valuation import check_valuation_axioms
-
-    return check_valuation_axioms(extend_valuation(valuation), spec)
-
-
-# property -> (check(args, instance, valuation, spec) -> LawReport, the usage
-# error when the check needs --valuation, else None); in --help order.  Each
-# check imports what it runs.
+# property -> the usage error when the check needs --valuation, else None;
+# in --help order
 CHECKS = {
-    "axioms": (_axioms, None),
-    "mc": (_mc, None),
-    "entire": (_entire, None),
-    "min-property": (_min_property, "min-property needs --valuation"),
-    "subtractive": (_subtractive,
-                    "subtractive needs --valuation (checks the positive ideal)"),
-    "prime": (_prime, "prime needs --valuation (checks the positive ideal)"),
-    "total-order": (_total_order_check, None),
-    "gaussian": (_gaussian, None),
-    "dedekind-mertens": (_dedekind_mertens, None),
-    "units-zeroset": (_units_zeroset, "units-zeroset needs --valuation"),
-    "extension-axioms": (_extension_axioms, "extension-axioms needs --valuation"),
+    "axioms": None,
+    "mc": None,
+    "entire": None,
+    "min-property": "min-property needs --valuation",
+    "subtractive": "subtractive needs --valuation (checks the positive ideal)",
+    "prime": "prime needs --valuation (checks the positive ideal)",
+    "total-order": None,
+    "gaussian": None,
+    "dedekind-mertens": None,
+    "units-zeroset": "units-zeroset needs --valuation",
+    "extension-axioms": "extension-axioms needs --valuation",
 }
 
 
 def _run_check(args) -> LawReport:
-    from .valuation import get_valuation
+    from .content import gaussian_check
+    from .dvs import dvs_structure
+    from .fracfield import extend_valuation
+    from .ideals import is_prime_bounded, is_subtractive_bounded, positive_ideal
+    from .laws import check_semiring_axioms, probe_entire, probe_mc
+    from .valuation import check_min_property, check_valuation_axioms
+    from .valuation import get_valuation, units_vs_zeroset
 
+    prop = args.property
     instance = get_instance(args.semiring)
     spec = _spec(args)
-    check, needs_valuation = CHECKS[args.property]
-    valuation = get_valuation(args.valuation, instance) if args.valuation else None
-    if valuation is None and needs_valuation:
-        raise UsageError(needs_valuation)
-    return check(args, instance, valuation, spec)
+    v = get_valuation(args.valuation, instance) if args.valuation else None
+    if v is None and CHECKS[prop]:
+        raise UsageError(CHECKS[prop])
+    if prop in ("total-order", "gaussian", "dedekind-mertens"):
+        # with --valuation these run on its discrete carrier
+        dvs = dvs_structure(args.valuation, instance) if v else None
+        if prop == "total-order":
+            return _total_order_check(instance, dvs, spec)
+        if prop == "gaussian":
+            return gaussian_check(dvs or instance, spec)
+        return _dedekind_mertens(instance, dvs, spec)
+    if prop == "axioms":
+        return (check_valuation_axioms(v, spec) if v
+                else check_semiring_axioms(instance, spec))
+    if prop == "mc":
+        return probe_mc(instance, spec)
+    if prop == "entire":
+        return probe_entire(instance, spec)
+    if prop == "min-property":
+        return check_min_property(v, spec)
+    if prop == "subtractive":
+        return is_subtractive_bounded(positive_ideal(v), spec)
+    if prop == "prime":
+        return is_prime_bounded(positive_ideal(v), spec)
+    if prop == "units-zeroset":
+        return units_vs_zeroset(v, spec)
+    # extension-axioms
+    return check_valuation_axioms(extend_valuation(v), spec)
 
 
 def _as_interval(ideal) -> IntervalIdeal:

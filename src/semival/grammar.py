@@ -13,7 +13,6 @@ Ideal literals: ``ideal[e1, e2, ...]`` and ``fuzzy[0,a]`` / ``fuzzy[0,a)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from typing import TYPE_CHECKING
@@ -39,11 +38,8 @@ class ParseError(ValueError):
         super().__init__(text)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int, name, sym, end
-    value: object
-    pos: int
+# (kind, value, pos), where kind is int, name, sym or end
+_Token = tuple[str, object, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -58,22 +54,22 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
+            tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
         if ch.isalpha():
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], i))
+            tokens.append(("name", text[i:j], i))
             i = j
             continue
         if ch in "+*/^()[],-":
-            tokens.append(_Token("sym", ch, i))
+            tokens.append(("sym", ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
+    tokens.append(("end", None, n))
     return tokens
 
 
@@ -89,18 +85,16 @@ class _Parser:
         return self.tokens[self.i]
 
     def take(self) -> _Token:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect_sym(self, sym: str) -> _Token:
         if self.at_sym(sym):
             return self.take()
-        raise ParseError("syntax error", self.peek().pos, (repr(sym),))
+        raise ParseError("syntax error", self.peek()[2], (repr(sym),))
 
     def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.value == sym
+        return self.peek()[:2] == ("sym", sym)
 
     def parse_expr(self):
         node = self.parse_term()
@@ -112,7 +106,7 @@ class _Parser:
     def parse_term(self):
         node = self.parse_power()
         while self.at_sym("*") or self.at_sym("/"):
-            op = self.take().value
+            op = self.take()[1]
             rhs = self.parse_power()
             node = ("mul" if op == "*" else "div", node, rhs)
         return node
@@ -125,10 +119,10 @@ class _Parser:
         return node
 
     def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "int":
-            return self.take().value
-        raise ParseError("syntax error", tok.pos, ("integer",))
+        kind, _, pos = self.peek()
+        if kind == "int":
+            return self.take()[1]
+        raise ParseError("syntax error", pos, ("integer",))
 
     def signed_int(self) -> int:
         """An integer literal with an optional leading minus."""
@@ -138,8 +132,8 @@ class _Parser:
         return self.expect_int()
 
     def parse_exponent(self):
-        tok = self.peek()
-        if tok.kind == "int" or self.at_sym("-"):
+        kind, _, pos = self.peek()
+        if kind == "int" or self.at_sym("-"):
             return self.signed_int()
         if self.at_sym("("):
             self.take()
@@ -149,27 +143,26 @@ class _Parser:
             self.expect_sym(")")
             # a (numerator, denominator) pair, checked once the instance is known
             return (num, den)
-        raise ParseError("syntax error", tok.pos, ("integer exponent",))
+        raise ParseError("syntax error", pos, ("integer exponent",))
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "int" or self.at_sym("-"):
+        kind, value, pos = self.peek()
+        if kind == "int" or self.at_sym("-"):
             return ("int", self.signed_int())
-        if tok.kind == "name":
+        if kind == "name":
             self.take()
-            return ("name", tok.value, tok.pos)
+            return ("name", value, pos)
         if self.at_sym("("):
             self.take()
             node = self.parse_expr()
             self.expect_sym(")")
             return node
-        raise ParseError("syntax error", tok.pos,
-                         ("literal", "'X'", "'('",))
+        raise ParseError("syntax error", pos, ("literal", "'X'", "'('",))
 
     def finish(self, node):
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("trailing input", tok.pos, ("end of input",))
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos, ("end of input",))
         return node
 
 

@@ -450,11 +450,12 @@ ALL_CRITERIA = (
 
 # Submission order for the worker pool, heaviest first, so that criterion 6
 # starts at once and the light criteria fill the other workers behind it.
-# Untraced in-process seconds, four serial runs on 2 cores (Python 3.11.7):
-# c6 1.9-2.2, c1 1.3-1.5, c3 0.65-0.70, c2 0.3, c11, c12 and c9 0.2-0.33,
-# c4 and c10 0.15, c5 and c8 0.1-0.13, c7 under 0.01.  No criterion after c2
-# leads one placed before it by more than the run-to-run spread, so the
-# order is kept.
+# Untraced in-process seconds, five serial runs on 2 cores (Python 3.11.7):
+# c6 0.82-1.02, c1 0.58-0.62, c3 0.29-0.32, c11 0.14-0.26, c2 0.13-0.14,
+# c12 0.12-0.14, c9 0.08-0.13, c4 0.07, c5 0.05-0.06, c8 0.05-0.09,
+# c10 0.04-0.06, c7 under 0.01.  c11 outweighs c4, c12, c9 and c5, placed
+# before it, but moving it up behind c3 takes two-worker list scheduling on
+# the medians only from 1.22 s to 1.21 s, inside the spread: order kept.
 HEAVIEST_FIRST = (6, 1, 3, 2, 4, 12, 9, 5, 11, 10, 8, 7)
 
 

@@ -1,18 +1,20 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from semival.cli import CHECKS, _run_check, build_parser, main
-from semival.instances import get_instance
+from semival.instances import ALL_REGISTERED_IDS, get_instance
 from semival.reports import LawReport, SampleSpec
 from semival.semiring import Semiring
-from semival.valuation import check_min_property, get_valuation
+from semival.valuation import REGISTERED_VALUATIONS, check_min_property, get_valuation
 
 
 def run(capsys, *argv):
@@ -91,6 +93,38 @@ def test_every_command_path_runs_in_a_fresh_process(argv):
     out = cli_process([*argv, "--samples", "20"], timeout=60)
     assert out.returncode in (0, 1), out.stderr
     assert "Traceback" not in out.stderr and out.stdout
+
+
+# sha256 of every `check` row below, recorded before the check dispatch
+# became one function: each registered instance, bare and with each rule
+# registered on it, every property, text and JSON
+CHECK_MATRIX_SHA256 = "f0fbee1de93bcaa1260220348ddb6c4b9799aaeb3eb0d85ba3047764503c8010"
+
+
+def test_the_check_matrix_is_pinned(capsys):
+    rows = []
+    for sid in ALL_REGISTERED_IDS:
+        rules = [[]] + [["--valuation", rule]
+                        for rule, source in REGISTERED_VALUATIONS if source == sid]
+        for valuation in rules:
+            for prop in CHECKS:
+                for output in ("text", "json"):
+                    code, out, err = run(capsys, "check", "--semiring", sid, *valuation,
+                                         "--property", prop, "--output", output,
+                                         "--samples", "200", "--size-bound", "20")
+                    rows.append([code, re.sub(r', "elapsed_ms": \d+', "", out), err])
+    assert Counter(code for code, _, _ in rows) == {0: 314, 1: 36, 2: 222}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CHECK_MATRIX_SHA256
+
+
+def test_the_readme_check_table_lists_every_property():
+    readme = (SRC.parent / "README.md").read_text()
+    header = "| property | law | runs on | needs `--valuation` |"
+    rows = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+    assert [c[0] for c in cells] == [f"`{prop}`" for prop in CHECKS]
+    assert [c[3] for c in cells] == ["yes" if CHECKS[p] else "no" for p in CHECKS]
 
 
 def test_valuate(capsys):
@@ -283,6 +317,9 @@ def test_factor_and_divmod(capsys):
     code, out, _ = run(capsys, "divmod", "--semiring", "qnn", "--valuation",
                        "vp:5", "10/3", "2/7")
     assert code == 0 and "q = 35/3" in out and "r = 0" in out
+    # operands outside the carrier are divided in the ambient semifield
+    assert run(capsys, "divmod", "--semiring", "qnn", "--valuation", "vp:5",
+               "1/5", "3") == (0, "q = 0, r = 1/5\n", "")
 
 
 def test_ideal_subcommands(capsys):

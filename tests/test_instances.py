@@ -8,6 +8,7 @@ from semival.extended import MONOIDS, ExtendedValue
 from semival.instances import ALL_REGISTERED_IDS, _uniform, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
+from semival.sampling import pair_stream, triple_stream
 from semival.semiring import InstanceMismatchError, Semiring, UnsupportedOperationError
 from semival.valuation import get_valuation
 
@@ -149,6 +150,39 @@ def test_semifield_inverses_multiply_to_one():
             if a.is_zero():
                 continue
             assert inst.mul(a, inst.inv(a)) == inst.one, (sid, str(a))
+
+
+# the checks trust these flags: probe_mc and probe_entire answer a semifield
+# from them without sampling, so each true flag is sampled here
+FLAG_SPEC = SampleSpec(1, 400, 12)
+
+
+def _flagged(flag):
+    return [sid for sid in ALL_REGISTERED_IDS if getattr(get_instance(sid).caps, flag)]
+
+
+@pytest.mark.parametrize("sid", _flagged("zerosumfree"))
+def test_zerosumfree_flag_holds_on_samples(sid):
+    inst = get_instance(sid)
+    for a, b in pair_stream(inst, FLAG_SPEC, salt="zerosumfree"):
+        if inst.add(a, b).is_zero():
+            assert a.is_zero() and b.is_zero(), (str(a), str(b))
+
+
+@pytest.mark.parametrize("sid", _flagged("mc"))
+def test_mc_flag_holds_on_samples(sid):
+    inst = get_instance(sid)
+    for a, b, c in triple_stream(inst, FLAG_SPEC, salt="mc"):
+        if not a.is_zero() and b != c:
+            assert inst.mul(a, b) != inst.mul(a, c), (str(a), str(b), str(c))
+
+
+@pytest.mark.parametrize("sid", _flagged("entire"))
+def test_entire_flag_holds_on_samples(sid):
+    inst = get_instance(sid)
+    for a, b in pair_stream(inst, FLAG_SPEC, salt="entire"):
+        if not a.is_zero() and not b.is_zero():
+            assert not inst.mul(a, b).is_zero(), (str(a), str(b))
 
 
 @pytest.mark.parametrize("sid, non_unit", [("nat", 2), ("ideals-z", 6),
