@@ -118,6 +118,38 @@ def test_the_check_matrix_is_pinned(capsys):
     assert digest == CHECK_MATRIX_SHA256
 
 
+# sha256 of every `ideal` row below, recorded before the sampled checks ran
+# on payload streams: each op on each carrier's literals and elements (every
+# ordered pair for the binary ops), text and JSON
+IDEAL_MATRIX = {
+    ("nat",): (["ideal[6, 10]", "ideal[15]", "ideal[3, 5]"], ["16", "7"]),
+    ("ideals-z",): (["ideal[4, 6]", "ideal[3]"], ["8", "9"]),
+    ("bool-poly",): (["ideal[X]", "ideal[X+1]", "ideal[X^2, X^3]"], ["X + X^2", "1"]),
+    ("tropical-nat",): (["ideal[2]", "ideal[5]"], ["3", "inf"]),
+    ("fuzzy",): (["ideal[1/3]", "fuzzy[0,1/2]", "fuzzy[0,1/2)"], ["1/4", "1/2"]),
+    ("qnn", "--valuation", "vp:5"): (["ideal[5]", "ideal[25, 10]"], ["50", "1/5"]),
+}
+IDEAL_MATRIX_SHA256 = "7aff4be9533802c1444e27a1a153950f3368e7583235d613a470c9f7a8d08d7f"
+
+
+def test_the_ideal_matrix_is_pinned(capsys):
+    rows = []
+    for carrier, (ideals, elements) in IDEAL_MATRIX.items():
+        operands = [("subtractive", [I]) for I in ideals]
+        operands += [("contains", [I, x]) for I in ideals for x in elements]
+        operands += [(op, [I, J]) for op in ("sum", "product", "comparable")
+                     for I in ideals for J in ideals]
+        for op, args in operands:
+            for output in ("text", "json"):
+                code, out, err = run(capsys, "ideal", "--semiring", *carrier,
+                                     "--op", op, *args, "--output", output,
+                                     "--samples", "200", "--size-bound", "20")
+                rows.append([code, re.sub(r', "elapsed_ms": \d+', "", out), err])
+    assert Counter(code for code, _, _ in rows) == {0: 240, 1: 52, 2: 32}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == IDEAL_MATRIX_SHA256
+
+
 def test_the_readme_check_table_lists_every_property():
     readme = (SRC.parent / "README.md").read_text()
     header = "| property | law | runs on | needs `--valuation` |"
