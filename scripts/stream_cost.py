@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Time sample-stream generation and the payload arithmetic on what it
-draws: microseconds per element of ``stream`` on every registered instance,
-and of the carrier stream on each of the four standard discrete valuation
-structures, at SampleSpec(1, 1000, 50); then microseconds per payload
-``_add``, ``_mul`` and ``_eq`` over the stream's consecutive pairs (on the
-ambient instance for a carrier). Every figure is the best of three runs.
+draws: microseconds per payload of ``stream`` on every registered instance,
+and of the carrier stream (``stream`` kept by ``DVSStructure.in_carrier``,
+the draw under ``sample_carrier``) on each of the four standard discrete
+valuation structures, at SampleSpec(1, 1000, 50); then microseconds per
+payload ``_add``, ``_mul`` and ``_eq`` over the stream's consecutive pairs
+(on the ambient instance for a carrier). Every figure is the best of three
+runs.
 
 Each stream run draws under its own salt, so no run can reuse an earlier
 stream. The output is a timing, so it changes from machine to machine.
@@ -46,8 +48,8 @@ def best_us_per_op(op, pairs) -> float:
 def main() -> None:
     rows = [(sid, partial(stream, get_instance(sid)), get_instance(sid))
             for sid in ALL_REGISTERED_IDS]
-    rows += [(f"carrier: {D.name}", D.sample_carrier, D.ambient)
-             for D in standard_dvs_structures()]
+    rows += [(f"carrier: {D.name}", partial(stream, D.ambient, keep=D.in_carrier),
+              D.ambient) for D in standard_dvs_structures()]
     print(f"== stream cost (seed={SPEC.seed}, count={SPEC.count}, "
           f"size_bound={SPEC.size_bound}, best of {RUNS})")
     header = (f"{'stream':<36} {'us/element':>10} {'us/_add':>8} {'us/_mul':>8} "
@@ -56,7 +58,7 @@ def main() -> None:
     print("-" * len(header))
     for label, draw, inst in rows:
         per_element = best_us_per_element(draw)
-        payloads = [x.payload for x in draw(SPEC, "cost-ops")]
+        payloads = draw(SPEC, "cost-ops")
         pairs = list(zip(payloads, payloads[1:]))
         ops = (best_us_per_op(op, pairs) for op in (inst._add, inst._mul, inst._eq))
         print(f"{label:<36} {per_element:>10.2f} " + " ".join(f"{t:>8.2f}" for t in ops))

@@ -116,8 +116,8 @@ def _total_order_check(instance, dvs: DVSStructure | None,
     if dvs is not None:
         pool = dvs.sample_carrier(pool_spec, salt="cli-ideals", nonzero=True)
     else:
-        pool = [x for x in stream(instance, pool_spec, salt="cli-ideals")
-                if not x.is_zero()]
+        drawn = stream(instance, pool_spec, salt="cli-ideals")
+        pool = [x for x in map(instance.element, drawn) if not x.is_zero()]
     ideals = [make_ideal(dvs.ambient if dvs else instance, pool[i: i + 2], dvs=dvs)
               for i in range(0, len(pool) - 1, 2)]
     k = len(ideals)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import chain, islice, product
+from itertools import chain, islice, product, zip_longest
 
 from .dvs import DVSStructure
 from .extended import _uniform
@@ -63,20 +63,21 @@ def make_content_poly(instance: Semiring, coeffs) -> ContentPolynomial:
     coeffs = list(coeffs)
     for c in coeffs:
         instance._claim(c)
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return ContentPolynomial(instance, tuple(coeffs))
+    return _poly(instance, [c.payload for c in coeffs])
+
+
+def _poly(instance: Semiring, payloads: list) -> ContentPolynomial:
+    """The polynomial of coefficient payloads, trailing zeros stripped."""
+    eq, zero = instance._eq, instance._zero()
+    while payloads and eq(payloads[-1], zero):
+        payloads.pop()
+    return ContentPolynomial(instance, tuple(Element(instance, p) for p in payloads))
 
 
 def cp_add(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
     inst = f.instance
-    n = max(len(f.coeffs), len(g.coeffs))
-    out = []
-    for k in range(n):
-        a = f.coeffs[k] if k < len(f.coeffs) else inst.zero
-        b = g.coeffs[k] if k < len(g.coeffs) else inst.zero
-        out.append(inst.add(a, b))
-    return make_content_poly(inst, out)
+    pairs = zip_longest(f.coeffs, g.coeffs, fillvalue=inst.zero)
+    return _poly(inst, [inst.add(a, b).payload for a, b in pairs])
 
 
 def cp_mul(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
@@ -93,7 +94,7 @@ def cp_mul(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
         a = a.payload
         for j, b in enumerate(gs):
             out[i + j] = add(out[i + j], mul(a, b))
-    return make_content_poly(inst, [Element(inst, c) for c in out])
+    return _poly(inst, out)
 
 
 def _carrier_parts(carrier) -> tuple[Semiring, DVSStructure | None]:
@@ -164,7 +165,7 @@ def sample_content_polys(carrier, spec: SampleSpec,
     """Deterministic content polynomials: small combinations of the
     coefficient preamble first, then random coefficient lists."""
     instance, dvs = _carrier_parts(carrier)
-    keep = dvs.contains if dvs is not None else None
+    keep = dvs.in_carrier if dvs is not None else None
     # fraction coefficients stay small (numerator/denominator bound 2) so the
     # downstream membership equalities remain fast
     bound = min(spec.size_bound, 2) if isinstance(instance, FractionSemiring) \
@@ -172,18 +173,19 @@ def sample_content_polys(carrier, spec: SampleSpec,
     coeffs = stream(instance, SampleSpec(spec.seed, max(spec.count * 3, 64),
                                          bound),
                     salt="content", keep=keep)
-    pre = [c for c in (coeffs[:8] if coeffs else []) if not c.is_zero()][:3]
+    eq, zero = instance._eq, instance._zero()
+    pre = [c for c in coeffs[:8] if not eq(c, zero)][:3]
     polys: list[ContentPolynomial] = [ContentPolynomial(instance, ())]
     for c in pre:
-        polys.append(make_content_poly(instance, [c]))
+        polys.append(_poly(instance, [c]))
     for c0, c1 in product(pre, pre):
-        polys.append(make_content_poly(instance, [c0, c1]))
+        polys.append(_poly(instance, [c0, c1]))
     idx = 0
     rng = random.Random(f"{spec.seed}:{instance.sid}:degrees")
     degree = _uniform(rng, 0, max_degree)
     while len(polys) < spec.count and idx + max_degree < len(coeffs):
         deg = degree()
-        polys.append(make_content_poly(instance, coeffs[idx: idx + deg + 1]))
+        polys.append(_poly(instance, coeffs[idx: idx + deg + 1]))
         idx += deg + 1
     return polys[: spec.count]
 

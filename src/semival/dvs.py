@@ -13,12 +13,7 @@ from .extended import ExtendedValue, _nonnegative, _raw_lt
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .semiring import Element, Semiring
-from .valuation import (
-    Valuation,
-    get_valuation,
-    in_valuation_semiring,
-    valuate,
-)
+from .valuation import Valuation, get_valuation, valuate
 
 # normal forms and division need neither .ideals nor .sampling: a structure
 # imports .ideals once, on its first ideal, and sample_carrier .sampling
@@ -65,22 +60,21 @@ class DVSStructure:
         return self.valuation.source
 
     def contains(self, x: Element) -> bool:
-        return in_valuation_semiring(self.valuation, x)
+        self.ambient._claim(x)
+        return self.in_carrier(x.payload)
+
+    def in_carrier(self, p) -> bool:
+        """The carrier test on payloads, which sampled carrier streams keep by."""
+        return _nonnegative(self.valuation.payload_fn(p))
 
     def sample_carrier(self, spec: SampleSpec, salt: str = "",
                        nonzero: bool = False) -> list[Element]:
         from .sampling import stream
 
-        amb, raw = self.ambient, self.valuation.payload_fn
+        amb, in_carrier = self.ambient, self.in_carrier
         eq, zero = amb._eq, amb._zero()
-
-        def keep(x: Element) -> bool:
-            p = x.payload
-            if nonzero and eq(p, zero):
-                return False
-            return _nonnegative(raw(p))
-
-        return stream(amb, spec, salt=salt, keep=keep)
+        keep = (lambda p: not eq(p, zero) and in_carrier(p)) if nonzero else in_carrier
+        return [Element(amb, p) for p in stream(amb, spec, salt=salt, keep=keep)]
 
     # -- payload helpers under the element-level operations --------------------
 
@@ -225,7 +219,6 @@ def integral_check(D: DVSStructure, u: Element, degree_bound: int,
     for a in pool:
         if not D.contains(a):
             raise ValueError(f"pool element {a} lies outside the carrier")
-    pool_payloads = [a.payload for a in pool]
     structural = amb.structural_eq
     powers = [amb.one]
     for n in range(1, degree_bound + 1):
@@ -282,7 +275,7 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
     """The valuation recovered from the unit classes of the carrier: x maps
     to the unique n with x * t^-n a carrier unit, found by the closed-form
     unit test rather than by reading the defining valuation."""
-    amb, unit = D.ambient, D.valuation.unit_in_sv
+    amb, unit = D.ambient, D.valuation.payload_unit
     zero = amb._zero()
 
     def raw(p):
@@ -290,12 +283,12 @@ def value_group_valuation(D: DVSStructure) -> Valuation:
             return None
         for n in range(_VALUE_SEARCH_LIMIT):
             for cand in ((n, -n) if n else (0,)):
-                if unit(Element(amb, amb._mul(p, D.power_payload(-cand)))):
+                if unit(amb._mul(p, D.power_payload(-cand))):
                     return cand
         raise ValueError(f"no unit class found for {amb._text(p)}")
 
     return Valuation(f"value-group({D.name})", amb, "Z", raw,
-                     unit_in_sv=unit,
+                     payload_unit=unit,
                      element_with_value=D.valuation.element_with_value)
 
 

@@ -46,13 +46,13 @@ from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, islice
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .extended import _raw_lt, _raw_min
+from .extended import _nonnegative, _raw_lt, _raw_min
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .semiring import Element, Semiring, UnsupportedOperationError
 
-# membership on generator lists needs neither .sampling nor .valuation:
-# the sampled checks and LevelIdeal import them when they run
+# membership needs neither .sampling nor .valuation: the sampled checks
+# import .sampling when they run, and LevelIdeal reads its valuation's rule
 if TYPE_CHECKING:
     from .valuation import Valuation
 
@@ -383,9 +383,8 @@ class FinGenIdeal:
         return self._rule.build(self.payloads)
 
     def domain_filter(self):
-        if self.dvs is not None:
-            return self.dvs.contains
-        return None
+        """The carrier test on payloads; None for the whole instance."""
+        return self.dvs.in_carrier if self.dvs is not None else None
 
     def __str__(self) -> str:
         return "ideal[" + ", ".join(map(self.instance._text, self.payloads)) + "]"
@@ -490,35 +489,35 @@ def ideal_equal(I: FinGenIdeal, J: FinGenIdeal) -> bool:
 
 def is_subtractive_bounded(ideal, spec: SampleSpec) -> LawReport:
     """Sampled search for a + b in I with a in I but b outside."""
-    from .sampling import pair_stream
+    from .sampling import first_counterexample, pair_stream
 
     instance = ideal.instance
-    law = f"subtractive[{instance.sid}]"
-    add = instance.add
-    keep = ideal.domain_filter()
-    for a, b in pair_stream(instance, spec, keep=keep, salt="subtractive"):
-        if ideal.contains(a) and ideal.contains(add(a, b)) and not ideal.contains(b):
-            return law_counterexample(law, (a, b), spec,
-                                      "a and a+b inside, b outside")
-    return law_holds(law, spec)
+    member, add = ideal._member, instance._add
+
+    def test(a, b):
+        if member(a) and member(add(a, b)) and not member(b):
+            return 2, "a and a+b inside, b outside"
+
+    return first_counterexample(f"subtractive[{instance.sid}]", instance, pair_stream(
+        instance, spec, keep=ideal.domain_filter(), salt="subtractive"), test, spec)
 
 
 def is_prime_bounded(ideal, spec: SampleSpec) -> LawReport:
     """Sampled search for a product inside a proper ideal with both factors
     outside."""
-    from .sampling import pair_stream
+    from .sampling import first_counterexample, pair_stream
 
     instance = ideal.instance
-    if ideal.contains(instance.one):
+    member, mul = ideal._member, instance._mul
+    if member(instance._one()):
         raise ValueError("primality is only defined for proper ideals")
-    law = f"prime[{instance.sid}]"
-    mul = instance.mul
-    keep = ideal.domain_filter()
-    for a, b in pair_stream(instance, spec, keep=keep, salt="prime"):
-        if ideal.contains(mul(a, b)) and not ideal.contains(a) and not ideal.contains(b):
-            return law_counterexample(law, (a, b), spec,
-                                      "a*b inside, neither factor inside")
-    return law_holds(law, spec)
+
+    def test(a, b):
+        if member(mul(a, b)) and not member(a) and not member(b):
+            return 2, "a*b inside, neither factor inside"
+
+    return first_counterexample(f"prime[{instance.sid}]", instance, pair_stream(
+        instance, spec, keep=ideal.domain_filter(), salt="prime"), test, spec)
 
 
 # -- level-set ideals -----------------------------------------------------------
@@ -533,20 +532,17 @@ class LevelIdeal:
     def instance(self) -> Semiring:
         return self.valuation.source
 
-    def __post_init__(self):
-        # bound once per ideal: an import statement costs more than a query
-        from .valuation import in_positive_ideal
-
-        object.__setattr__(self, "_in_positive_ideal", in_positive_ideal)
-
     def contains(self, x: Element) -> bool:
-        return self._in_positive_ideal(self.valuation, x)
+        self.instance._claim(x)
+        return self._member(x.payload)
+
+    def _member(self, p) -> bool:
+        r = self.valuation.payload_fn(p)
+        return r is None or r > 0
 
     def domain_filter(self):
-        from .valuation import in_valuation_semiring
-
-        v = self.valuation
-        return lambda x: in_valuation_semiring(v, x)
+        raw = self.valuation.payload_fn
+        return lambda p: _nonnegative(raw(p))
 
     def __str__(self) -> str:
         return f"{{v > 0}} of {self.valuation.rule}"
@@ -581,9 +577,10 @@ class IntervalIdeal:
 
     def contains(self, x: Element) -> bool:
         self.instance._claim(x)
-        if self.closed:
-            return x.payload <= self.endpoint
-        return x.payload < self.endpoint
+        return self._member(x.payload)
+
+    def _member(self, p) -> bool:
+        return p <= self.endpoint if self.closed else p < self.endpoint
 
     def domain_filter(self):
         return None

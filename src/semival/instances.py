@@ -78,6 +78,8 @@ class NatSemiring(Semiring):
     def _preamble(self):
         return (0, 1, 2, 3, 5)
 
+    _power_bits = staticmethod(lambda p: p.bit_length() - 1)
+
 
 class QnnSemiring(Semiring):
     """Nonnegative rationals; the semifield of fractions of nat."""
@@ -118,6 +120,9 @@ class QnnSemiring(Semiring):
     def _preamble(self):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
                 Fraction(5), Fraction(1, 5), Fraction(3))
+
+    _power_bits = staticmethod(
+        lambda p: p.numerator.bit_length() + p.denominator.bit_length() - 2)
 
 
 class BoolPolySemiring(Semiring):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .sampling import pair_stream, triple_stream
+from .sampling import first_counterexample, pair_stream, triple_stream
 from .semiring import Semiring
 
 
@@ -11,33 +11,33 @@ def check_semiring_axioms(instance: Semiring, spec: SampleSpec) -> LawReport:
     """Sampled check of the semiring axioms: commutative monoids (S,+,0) and
     (S,*,1) with 1 != 0, distributivity, and a*0 = 0."""
     law = f"semiring-axioms[{instance.sid}]"
-    zero, one = instance.zero, instance.one
-    if instance.eq(zero, one):
-        return law_counterexample(law, (zero, one), spec, "1 = 0")
-    # the loop runs on payloads; witnesses stay the stream's own elements
     eq, add, mul = instance._eq, instance._add, instance._mul
-    z, u = zero.payload, one.payload
-    for a, b, c in triple_stream(instance, spec, salt="axioms"):
-        p, q, r = a.payload, b.payload, c.payload
+    z, u = instance._zero(), instance._one()
+    if eq(z, u):
+        return law_counterexample(law, (instance.zero, instance.one), spec, "1 = 0")
+
+    def test(p, q, r):
         total = add(p, q)
         if not eq(total, add(q, p)):
-            return law_counterexample(law, (a, b), spec, "a+b != b+a")
+            return 2, "a+b != b+a"
         if not eq(add(total, r), add(p, add(q, r))):
-            return law_counterexample(law, (a, b, c), spec, "(a+b)+c != a+(b+c)")
+            return 3, "(a+b)+c != a+(b+c)"
         if not eq(add(p, z), p):
-            return law_counterexample(law, (a,), spec, "a+0 != a")
+            return 1, "a+0 != a"
         prod = mul(p, q)
         if not eq(prod, mul(q, p)):
-            return law_counterexample(law, (a, b), spec, "a*b != b*a")
+            return 2, "a*b != b*a"
         if not eq(mul(prod, r), mul(p, mul(q, r))):
-            return law_counterexample(law, (a, b, c), spec, "(a*b)*c != a*(b*c)")
+            return 3, "(a*b)*c != a*(b*c)"
         if not eq(mul(p, u), p):
-            return law_counterexample(law, (a,), spec, "a*1 != a")
+            return 1, "a*1 != a"
         if not eq(mul(p, add(q, r)), add(prod, mul(p, r))):
-            return law_counterexample(law, (a, b, c), spec, "a*(b+c) != a*b+a*c")
+            return 3, "a*(b+c) != a*b+a*c"
         if not eq(mul(p, z), z):
-            return law_counterexample(law, (a,), spec, "a*0 != 0")
-    return law_holds(law, spec)
+            return 1, "a*0 != 0"
+
+    triples = triple_stream(instance, spec, salt="axioms")
+    return first_counterexample(law, instance, triples, test, spec)
 
 
 def probe_mc(instance: Semiring, spec: SampleSpec) -> LawReport:
@@ -47,15 +47,14 @@ def probe_mc(instance: Semiring, spec: SampleSpec) -> LawReport:
     law = f"mc[{instance.sid}]"
     if instance.caps.semifield:
         return law_holds(law, spec, "semifield", analytic=True)
-    eq, mul, z = instance._eq, instance._mul, instance.zero.payload
-    for a, b, c in triple_stream(instance, spec, salt="mc"):
-        p, q, r = a.payload, b.payload, c.payload
-        if eq(p, z) or eq(q, r):
-            continue
-        if eq(mul(p, q), mul(p, r)):
-            return law_counterexample(law, (a, b, c), spec,
-                                      "a*b = a*c with a != 0, b != c")
-    return law_holds(law, spec)
+    eq, mul, z = instance._eq, instance._mul, instance._zero()
+
+    def test(p, q, r):
+        if not (eq(p, z) or eq(q, r)) and eq(mul(p, q), mul(p, r)):
+            return 3, "a*b = a*c with a != 0, b != c"
+
+    return first_counterexample(law, instance, triple_stream(instance, spec, salt="mc"),
+                                test, spec)
 
 
 def probe_entire(instance: Semiring, spec: SampleSpec) -> LawReport:
@@ -65,14 +64,14 @@ def probe_entire(instance: Semiring, spec: SampleSpec) -> LawReport:
     law = f"entire[{instance.sid}]"
     if instance.caps.semifield:
         return law_holds(law, spec, "semifield", analytic=True)
-    eq, mul, z = instance._eq, instance._mul, instance.zero.payload
-    for a, b in pair_stream(instance, spec, salt="entire"):
-        p, q = a.payload, b.payload
-        if eq(p, z) or eq(q, z):
-            continue
-        if eq(mul(p, q), z):
-            return law_counterexample(law, (a, b), spec, "a*b = 0 with a, b != 0")
-    return law_holds(law, spec)
+    eq, mul, z = instance._eq, instance._mul, instance._zero()
+
+    def test(p, q):
+        if not (eq(p, z) or eq(q, z)) and eq(mul(p, q), z):
+            return 2, "a*b = 0 with a, b != 0"
+
+    return first_counterexample(law, instance, pair_stream(instance, spec, salt="entire"),
+                                test, spec)
 
 
 def probe_mc_entire(instance: Semiring,

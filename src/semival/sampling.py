@@ -1,10 +1,11 @@
-"""Deterministic element streams per instance.
+"""Deterministic payload streams per instance, and the one sampled-law loop.
 
 Streams are keyed by (seed, instance id, salt, size bound); identical
 specs yield identical streams.  Each stream starts with the instance's
 fixed preamble so known witnesses are always visited first, then continues
-with pseudo-random elements from one sampler of the instance, built once
-per stream.  No stream is retained: a repeated spec draws its stream again.
+with pseudo-random canonical payloads from one sampler of the instance,
+built once per stream.  No stream is retained: a repeated spec draws its
+stream again.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .reports import SampleSpec
+from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .semiring import Element, Semiring
 
 
@@ -27,37 +28,37 @@ def _rng(spec: SampleSpec, sid: str, salt: str) -> random.Random:
 # calls in cache_info(), which the benchmark reads under this name.
 @lru_cache(maxsize=0)
 def _cached_stream(instance: Semiring, seed: int, count: int, size_bound: int,
-                   salt: str) -> list[Element]:
+                   salt: str) -> list:
     spec = SampleSpec(seed, count, size_bound)
     draw = instance._sampler(_rng(spec, instance.sid, salt), size_bound)
     out = list(instance.preamble[:count])
-    out.extend(Element(instance, draw()) for _ in range(count - len(out)))
+    out.extend(draw() for _ in range(count - len(out)))
     return out
 
 
 def stream(instance: Semiring, spec: SampleSpec, salt: str = "",
-           keep: Callable[[Element], bool] | None = None) -> list[Element]:
-    """spec.count elements; filtered generation retries up to a fixed cap."""
+           keep: Callable[[object], bool] | None = None) -> list:
+    """spec.count payloads; filtered generation retries up to a fixed cap."""
     if keep is None:
         return _cached_stream(instance, spec.seed, spec.count, spec.size_bound,
                               salt)
-    out = [x for x in instance.preamble if keep(x)][:spec.count]
+    out = [p for p in instance.preamble if keep(p)][:spec.count]
     draw = instance._sampler(_rng(spec, instance.sid, salt), spec.size_bound)
     attempts = 0
     limit = 40 * spec.count + 200
     while len(out) < spec.count and attempts < limit:
-        x = Element(instance, draw())
+        p = draw()
         attempts += 1
-        if keep(x):
-            out.append(x)
+        if keep(p):
+            out.append(p)
     return out
 
 
 def _tuple_stream(instance: Semiring, spec: SampleSpec, salts: tuple[str, ...],
-                  keep: Callable[[Element], bool] | None, salt: str) -> Iterator[tuple]:
+                  keep: Callable[[object], bool] | None, salt: str) -> Iterator[tuple]:
     """spec.count tuples: the preamble power first, then one fresh stream per
     position, zipped."""
-    pre = [x for x in instance.preamble if keep is None or keep(x)]
+    pre = [p for p in instance.preamble if keep is None or keep(p)]
     block = list(product(pre, repeat=len(salts)))[: spec.count]
     yield from block
     remaining = spec.count - len(block)
@@ -68,17 +69,32 @@ def _tuple_stream(instance: Semiring, spec: SampleSpec, salts: tuple[str, ...],
 
 
 def pair_stream(instance: Semiring, spec: SampleSpec,
-                keep: Callable[[Element], bool] | None = None,
-                salt: str = "") -> Iterator[tuple[Element, Element]]:
+                keep: Callable[[object], bool] | None = None,
+                salt: str = "") -> Iterator[tuple]:
     """spec.count pairs: the preamble square first, then fresh random pairs."""
     return _tuple_stream(instance, spec, ("pair-a", "pair-b"), keep, salt)
 
 
 def triple_stream(instance: Semiring, spec: SampleSpec,
-                  salt: str = "") -> Iterator[tuple[Element, Element, Element]]:
+                  salt: str = "") -> Iterator[tuple]:
     return _tuple_stream(instance, spec, ("tri-a", "tri-b", "tri-c"), None, salt)
 
 
-def nonzero_stream(instance: Semiring, spec: SampleSpec,
-                   salt: str = "") -> list[Element]:
-    return stream(instance, spec, salt=salt, keep=lambda x: not x.is_zero())
+def nonzero_stream(instance: Semiring, spec: SampleSpec, salt: str = "") -> list:
+    eq, zero = instance._eq, instance._zero()
+    return stream(instance, spec, salt=salt, keep=lambda p: not eq(p, zero))
+
+
+def first_counterexample(law: str, instance: Semiring, tuples: Iterable[tuple],
+                         test: Callable, spec: SampleSpec) -> LawReport:
+    """Run a sampled law: test(*payloads) returns None for a tuple that
+    passes or is skipped, and (k, detail) for one that fails.  The first
+    failure's first k payloads become the witness: the only elements a
+    sampled check builds."""
+    for payloads in tuples:
+        failure = test(*payloads)
+        if failure is not None:
+            k, detail = failure
+            witness = tuple(Element(instance, p) for p in payloads[:k])
+            return law_counterexample(law, witness, spec, detail)
+    return law_holds(law, spec)

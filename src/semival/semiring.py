@@ -89,6 +89,10 @@ class Semiring(ABC):
     additively_cancellative: bool = False
     # set to a two-argument gcd on payloads where one exists (nat, ideals-z)
     payload_gcd = None
+    # nat, ideals-z and qnn set _power_bits, a payload's least bits per unit of
+    # exponent: power refuses a result past _POWER_BITS (5^1000000 has 2.3 M)
+    _power_bits = None
+    _POWER_BITS = 1 << 25
 
     # -- payload primitives -------------------------------------------------
 
@@ -195,15 +199,17 @@ class Semiring(ABC):
             raise ValueError(f"integer exponent expected, got {n!r}")
         if n < 0:
             return self.power(self.inv(a), -n)
-        result = self.one
-        base = a
-        while True:
+        if self._power_bits and self._power_bits(a.payload) * n > self._POWER_BITS:
+            raise ValueError(f"{self.sid} power: the result would pass the budget of "
+                             f"{self._POWER_BITS} bits")
+        mul, result, base = self._mul, self._one(), a.payload
+        while n:
             if n & 1:
-                result = self.mul(result, base)
+                result = mul(result, base)
             n >>= 1
-            if not n:
-                return result
-            base = self.mul(base, base)
+            if n:
+                base = mul(base, base)
+        return Element(self, result)
 
     def from_literal(self, q) -> Element:
         if isinstance(q, Fraction) and q.denominator == 1:
@@ -221,8 +227,8 @@ class Semiring(ABC):
 
     @cached_property
     def preamble(self) -> tuple:
-        """Small fixed elements placed at the head of every sample stream."""
-        return tuple(Element(self, self._canon(p)) for p in self._preamble())
+        """Small fixed payloads placed at the head of every sample stream."""
+        return tuple(self._canon(p) for p in self._preamble())
 
     def __repr__(self) -> str:
         return f"Semiring({self.sid})"

@@ -187,7 +187,7 @@ def criterion_5() -> CriterionResult:
     if not report.holds:
         problems.append(str(report))
     frs = ext.source
-    for z in stream(nat, MID, salt="embed"):
+    for z in map(nat.element, stream(nat, MID, salt="embed")):
         lifted = valuate(ext, embed_in_fractions(frs, z))
         base = valuate(v, z)
         # the domains differ (Z and N0), so compare raw values, None for inf
@@ -389,8 +389,8 @@ def criterion_11() -> CriterionResult:
     pool = [qnn.element(v) for v in (0, 1, 2, 5, Fraction(1, 2), 3)]
     problems = []
     outside = stream(qnn, SampleSpec(SEED, 100, SIZE), salt="outside",
-                     keep=lambda x: not x.is_zero() and not D.contains(x))
-    for u in outside:
+                     keep=lambda p: p != 0 and not D.in_carrier(p))
+    for u in map(qnn.element, outside):
         report = integral_check(D, u, 3, pool)
         if not report.holds:
             problems.append(f"unexpected witness for {u}: {report}")

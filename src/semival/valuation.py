@@ -50,8 +50,8 @@ class Valuation:
     source: Semiring
     domain: str
     payload_fn: Callable[[object], Raw] = field(repr=False, compare=False)
-    # closed-form test for "unit of the nonnegative subsemiring"
-    unit_in_sv: Callable[[Element], bool] = field(repr=False, compare=False)
+    # closed-form test on payloads for "unit of the nonnegative subsemiring"
+    payload_unit: Callable[[object], bool] = field(repr=False, compare=False)
     # an element of the prescribed finite value
     element_with_value: Callable = field(repr=False, compare=False)
     fn: Callable[[Element], ExtendedValue] = field(
@@ -61,6 +61,10 @@ class Valuation:
         if self.fn is None:
             domain, raw = self.domain, self.payload_fn
             object.__setattr__(self, "fn", lambda x: _value(domain, raw(x.payload)))
+
+    def unit_in_sv(self, x: Element) -> bool:
+        """The closed-form unit test of the nonnegative subsemiring."""
+        return self.payload_unit(x.payload)
 
     @cached_property
     def zero_value(self) -> ExtendedValue:
@@ -117,69 +121,66 @@ def level_membership(v: Valuation, x: Element, alpha: ExtendedValue) -> bool:
 def check_valuation_axioms(v: Valuation, spec: SampleSpec) -> LawReport:
     """Sampled check of multiplicativity, the min inequality, v(1) = 0 and
     v(0) = inf."""
-    from .sampling import pair_stream
+    from .sampling import first_counterexample, pair_stream
 
     law = f"valuation-axioms[{v.rule}@{v.source.sid}]"
-    zero_val = v.zero_value
-    if valuate(v, v.source.one) != zero_val:
+    if valuate(v, v.source.one) != v.zero_value:
         return law_counterexample(law, (v.source.one,), spec, "v(1) != 0")
     if not valuate(v, v.source.zero).is_inf:
         return law_counterexample(law, (v.source.zero,), spec, "v(0) != inf")
     src, raw = v.source, v.payload_fn
     add, mul = src._add, src._mul
-    for x, y in pair_stream(src, spec, salt=f"vax:{v.rule}"):
-        p, q = x.payload, y.payload
+
+    def test(p, q):
         vx, vy = raw(p), raw(q)
         if raw(mul(p, q)) != _raw_add(vx, vy):
-            return law_counterexample(law, (x, y), spec, "v(xy) != v(x)+v(y)")
+            return 2, "v(xy) != v(x)+v(y)"
         if _raw_lt(raw(add(p, q)), _raw_min(vx, vy)):
-            return law_counterexample(law, (x, y), spec, "v(x+y) < min")
-    return law_holds(law, spec)
+            return 2, "v(x+y) < min"
+
+    return first_counterexample(law, src, pair_stream(src, spec, salt=f"vax:{v.rule}"),
+                                test, spec)
 
 
 def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
     """Search sampled pairs with v(x) != v(y) for v(x+y) != min{v(x),v(y)}."""
-    from .sampling import pair_stream
+    from .sampling import first_counterexample, pair_stream
 
-    src, raw, dom = v.source, v.payload_fn, v.domain
-    add = src._add
-    for x, y in pair_stream(src, spec, salt=f"minp:{v.rule}"):
-        vx, vy = raw(x.payload), raw(y.payload)
-        if vx == vy:
-            continue
-        vsum = raw(add(x.payload, y.payload))
-        if vsum != _raw_min(vx, vy):
-            detail = (f"v(x)={_value(dom, vx)} v(y)={_value(dom, vy)} "
-                      f"v(x+y)={_value(dom, vsum)}")
-            return MinPropertyReport("min-property", "counterexample", spec, (x, y),
-                                     detail, x=x, y=y)
-    return MinPropertyReport("min-property", "holds", spec)
+    src, raw, dom, add = v.source, v.payload_fn, v.domain, v.source._add
+
+    def test(p, q):
+        vx, vy = raw(p), raw(q)
+        if vx != vy and (vsum := raw(add(p, q))) != _raw_min(vx, vy):
+            return 2, (f"v(x)={_value(dom, vx)} v(y)={_value(dom, vy)} "
+                       f"v(x+y)={_value(dom, vsum)}")
+
+    r = first_counterexample("min-property", src,
+                             pair_stream(src, spec, salt=f"minp:{v.rule}"), test, spec)
+    x, y = r.witness or (None, None)
+    return MinPropertyReport(r.law, r.verdict, spec, r.witness, r.detail, x=x, y=y)
 
 
 def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
     """Compare, over sampled elements of the nonnegative subsemiring, the
     closed-form unit test against the predicate v(x) = 0."""
-    from .sampling import stream
+    from .sampling import first_counterexample, stream
 
     law = f"units-zeroset[{v.rule}@{v.source.sid}]"
-    raw, values = v.payload_fn, []
+    raw, unit, values = v.payload_fn, v.payload_unit, []
 
-    def keep(x: Element) -> bool:
-        r = raw(x.payload)
-        if _nonnegative(r):
-            values.append(r)
-            return True
-        return False
+    def keep(p) -> bool:
+        values.append(raw(p))
+        return _nonnegative(values[-1])
 
-    # the stream keeps elements in the order keep accepted them
+    def test(p, r):
+        is_u = unit(p)
+        if is_u != (r == 0):
+            return 1, "unit with v != 0" if is_u else "v = 0 but not a unit"
+
+    # keep records every value; the nonnegative ones belong to the kept payloads
     kept = stream(v.source, spec, salt=f"uz:{v.rule}", keep=keep)
-    for x, r in zip(kept, values):
-        is_u = v.unit_in_sv(x)
-        is_z = r == 0
-        if is_u != is_z:
-            side = "unit with v != 0" if is_u else "v = 0 but not a unit"
-            return law_counterexample(law, (x,), spec, side)
-    return law_holds(law, spec)
+    return first_counterexample(law, v.source, zip(kept, filter(_nonnegative, values)),
+                                test, spec)
 
 
 # -- rule registry --------------------------------------------------------------
@@ -253,7 +254,7 @@ def _make_trivial(source: Semiring) -> Valuation:
         return source.one
 
     return Valuation("trivial", source, "trivial", raw,
-                     unit_in_sv=source.is_unit, element_with_value=ewv)
+                     payload_unit=source._is_unit, element_with_value=ewv)
 
 
 def _padic_integers(p: int, source: Semiring) -> Valuation:
@@ -262,7 +263,7 @@ def _padic_integers(p: int, source: Semiring) -> Valuation:
         return None if n == 0 else _padic_exponent(n, p)
 
     return Valuation(f"vp:{p}", source, "N0", raw,
-                     unit_in_sv=lambda x: x.payload == 1,
+                     payload_unit=lambda n: n == 1,
                      element_with_value=lambda m: source.element(p ** m))
 
 
@@ -281,7 +282,7 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
 
         unit = _padic_unit(p)
         return Valuation(rule, source, "Z", raw,
-                         unit_in_sv=lambda x: unit(*x.payload.as_integer_ratio()),
+                         payload_unit=lambda q: unit(*q.as_integer_ratio()),
                          element_with_value=lambda m: source.element(Fraction(p) ** m))
     raise ValueError(f"{rule} is defined on nat and qnn, not {source.sid}")
 
@@ -289,17 +290,16 @@ def _make_padic(p: int, source: Semiring) -> Valuation:
 def _monomial_order(rule: str, source: MonoidSemiring, raw: Callable) -> Valuation:
     """A rule reading one end of a polynomial-style element's exponents,
     valued in the exponent monoid."""
-    def unit_in_sv(x):
+    def unit(p):
         # inside the nonnegative part only exponent-zero monomials with unit
         # coefficients are invertible, whatever the ambient exponent monoid
-        p = x.payload
         return len(p) == 1 and p[0][0] == 0 and source.base._is_unit(p[0][1])
 
     def ewv(m):
         return source.element(source.monomial_payload(m, source.base._one()))
 
     return Valuation(rule, source, source.exponents.name, raw,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+                     payload_unit=unit, element_with_value=ewv)
 
 
 def _make_low_order(source: Semiring) -> Valuation:
@@ -323,7 +323,7 @@ def _make_tropical_id(source: Semiring) -> Valuation:
         raise ValueError("tropical-id is defined on the tropical instances")
     # the payload is the value itself, None standing for inf
     return Valuation("tropical-id", source, source.values.name, lambda p: p,
-                     unit_in_sv=lambda x: x.payload == 0,
+                     payload_unit=lambda p: p == 0,
                      element_with_value=lambda m: source.element(m))
 
 
@@ -339,8 +339,8 @@ def fraction_extension(rule: str, v: Valuation, frs: FractionSemiring) -> Valuat
         # a difference of two domain values lies in the group completion
         return None if vn is None else vn - base_raw(den_p)
 
-    def unit_in_sv(x: Element) -> bool:
-        num_p, den_p = x.payload
+    def unit(p) -> bool:
+        num_p, den_p = p
         return base_raw(num_p) == base_raw(den_p)
 
     def ewv(g):
@@ -349,7 +349,7 @@ def fraction_extension(rule: str, v: Valuation, frs: FractionSemiring) -> Valuat
         return Element(frs, frs._canon((num.payload, den.payload)))
 
     return Valuation(rule, frs, MONOIDS[v.domain].completion, raw,
-                     unit_in_sv=unit_in_sv, element_with_value=ewv)
+                     payload_unit=unit, element_with_value=ewv)
 
 
 def _make_deg_frac(source: Semiring) -> Valuation:
@@ -373,7 +373,7 @@ def _make_vm_idz(p: int, source: Semiring) -> Valuation:
     unit = _padic_unit(p)
     ext = fraction_extension(f"vm-idz:{p}", _padic_integers(p, source.base), source)
     # the closed-form unit test, kept apart from the value comparison
-    return replace(ext, unit_in_sv=lambda x: unit(*x.payload))
+    return replace(ext, payload_unit=lambda p: unit(*p))
 
 
 # rule name -> maker; a name ending in ":" takes a prime parameter

@@ -415,6 +415,31 @@ def test_nat_membership_past_the_table_budget_exits_2_within_a_memory_limit():
                           "need 229345007\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["valuate", "--semiring", "nat", "--valuation", "vp:5", "2^99999999999"],
+    ["valuate", "--semiring", "qnn", "--valuation", "vp:5", "(1/2)^99999999999"],
+    ["factor", "--semiring", "qnn", "--valuation", "vp:5", "5^-99999999999"],
+    ["ideal", "--semiring", "ideals-z", "--op", "contains", "ideal[4]", "2^99999999999"],
+], ids=["nat", "qnn", "qnn-negative", "ideals-z"])
+def test_a_power_past_the_bit_budget_is_refused_before_it_is_built(capsys, argv):
+    # 2^99999999999 has 10^11 bits: built, it ran out of memory
+    code, out, err = run(capsys, *argv)
+    sid = argv[2]
+    assert (code, out) == (2, "")
+    assert err == f"error: {sid} power: the result would pass the budget of 33554432 bits\n"
+
+
+def test_powers_within_the_budget_or_on_tropical_carriers_are_built(capsys):
+    nat = get_instance("nat")
+    assert nat.power(nat.element(5), 10 ** 6).payload.bit_length() == 2_321_929
+    assert nat.power(nat.one, 99999999999) == nat.one
+    assert nat.power(nat.zero, 99999999999) == nat.zero
+    # tropical powers add, so they stay small
+    code, out, _ = run(capsys, "valuate", "--semiring", "tropical-nat",
+                       "--valuation", "tropical-id", "2^99999999999")
+    assert (code, out) == (0, "199999999998\n")
+
+
 @pytest.mark.parametrize("op, args", [("contains", ["ideal[1/5]", "1"]),
                                       ("sum", ["ideal[5]", "ideal[1/5, 25]"])])
 def test_dvs_ideal_generators_must_lie_in_the_carrier(capsys, op, args):

@@ -183,7 +183,7 @@ def test_ideal_literals():
 ])
 def test_rendered_elements_parse_back(sid):
     instance = get_instance(sid)
-    for x in stream(instance, SampleSpec(5, 120, 12)):
+    for x in map(instance.element, stream(instance, SampleSpec(5, 120, 12))):
         assert parse_element(str(x), instance) == x, (sid, str(x))
 
 

@@ -111,7 +111,7 @@ def _carrier(name):
         D = next(D for D in standard_dvs_structures() if D.name == name)
         return D.ambient, D, D.sample_carrier(spec, salt="payload-ops")
     inst = get_instance(name)
-    return inst, None, stream(inst, spec, salt="payload-ops")
+    return inst, None, [inst.element(p) for p in stream(inst, spec, salt="payload-ops")]
 
 
 def _payloads(gens):

@@ -550,7 +550,7 @@ def test_positive_ideal_holds_the_positive_values():
         v = get_valuation(rule, inst)
         P = positive_ideal(v)
         assert str(P) == f"{{v > 0}} of {rule}"
-        for x in stream(inst, SPEC, salt="positive"):
+        for x in map(inst.element, stream(inst, SPEC, salt="positive")):
             assert P.contains(x) == (valuate(v, x) > v.zero_value), (rule, str(x))
 
 
@@ -790,7 +790,7 @@ def test_oracle_agrees_with_reference(carrier):
     spec = SampleSpec(3, 40, 10)
     if carrier in ORACLE_CARRIERS:
         D, inst, ref = None, get_instance(carrier), ORACLE_CARRIERS[carrier]
-        pool = stream(inst, spec, salt="oracle-reference")
+        pool = [inst.element(p) for p in stream(inst, spec, salt="oracle-reference")]
     else:
         D = next(D for D in standard_dvs_structures() if D.name == carrier)
         inst, ref = D.ambient, ref_dvs(D)
@@ -833,7 +833,7 @@ def test_threshold_carriers_keep_one_generator(carrier):
     spec = SampleSpec(5, 40, 10)
     if carrier in ORACLE_CARRIERS:
         D, inst = None, get_instance(carrier)
-        pool = stream(inst, spec, salt="threshold")
+        pool = [inst.element(p) for p in stream(inst, spec, salt="threshold")]
     else:
         D = next(D for D in standard_dvs_structures() if D.name == carrier)
         inst = D.ambient

@@ -28,6 +28,11 @@ from semival.valuation import (
 )
 
 SPEC = SampleSpec(1, 600, 25)
+
+
+def _elements(inst, pairs):
+    """The payload pairs of a stream as element pairs."""
+    return ((inst.element(p), inst.element(q)) for p, q in pairs)
 fin = ExtendedValue
 
 
@@ -99,7 +104,7 @@ def test_fraction_rules_are_well_defined_on_equivalence_classes():
     v = get_valuation("deg-frac", frs)
     x = poly.indeterminate()
     scalers = [x, poly.add(poly.one, x), poly.element([(2, 3)])]
-    for a in stream(frs, SampleSpec(4, 60, 8)):
+    for a in map(frs.element, stream(frs, SampleSpec(4, 60, 8))):
         num, den = a.payload
         for s in scalers:
             scaled = frs.element((poly._mul(num, s.payload),
@@ -141,7 +146,8 @@ def test_rule_values_pass_domain_validation(rule, sid):
     v = get_valuation(rule, get_instance(sid))
     for w in (v, extend_valuation(v)):
         src = w.source
-        for x, y in pair_stream(src, SampleSpec(1, 1000, 50), salt="rule-values"):
+        for x, y in _elements(src, pair_stream(src, SampleSpec(1, 1000, 50),
+                                               salt="rule-values")):
             for z in (x, src.add(x, y), src.mul(x, y)):
                 val = w.fn(z)
                 assert val.domain == w.domain
@@ -155,7 +161,7 @@ def test_infinite_fiber_is_exactly_zero_on_entire_sources(rule, sid):
     v = get_valuation(rule, get_instance(sid))
     source = v.source
     assert source.caps.entire
-    for x in stream(source, SPEC, salt="fiber"):
+    for x in map(source.element, stream(source, SPEC, salt="fiber")):
         assert valuate(v, x).is_inf == x.is_zero()
 
 
@@ -166,7 +172,7 @@ def test_infinite_fiber_is_exactly_zero_on_entire_sources(rule, sid):
 def test_inverse_negates_value_on_semifields(rule, sid):
     v = get_valuation(rule, get_instance(sid))
     source = v.source
-    for x in stream(source, SPEC, salt="invneg"):
+    for x in map(source.element, stream(source, SPEC, salt="invneg")):
         if x.is_zero():
             continue
         assert valuate(v, source.inv(x)).value == -valuate(v, x).value
@@ -244,7 +250,8 @@ def test_nonnegative_filter_validates_no_value(monkeypatch):
     # validation and that 0 is built once, so the filter validates nothing
     qnn = get_instance("qnn")
     v = get_valuation("vp:5", qnn)
-    elements = stream(qnn, SampleSpec(1, 1000, 50), salt="zero-value")
+    elements = [qnn.element(p) for p in stream(qnn, SampleSpec(1, 1000, 50),
+                                               salt="zero-value")]
     assert v.zero_value == fin("Z", 0)
     checked = []
     validate = ExtendedValue.__post_init__
@@ -272,7 +279,7 @@ def test_low_order_is_stable_on_equal_values_over_zerosumfree_coefficients():
     # addition even when both operands share it
     mon = get_instance("monoid(nat,N0)")
     v = get_valuation("low-order", mon)
-    for f, g in pair_stream(mon, SPEC, salt="minstable"):
+    for f, g in _elements(mon, pair_stream(mon, SPEC, salt="minstable")):
         vf, vg = valuate(v, f), valuate(v, g)
         if vf == vg:
             assert valuate(v, mon.add(f, g)) == vf
@@ -281,7 +288,7 @@ def test_low_order_is_stable_on_equal_values_over_zerosumfree_coefficients():
 def test_deg_high_addition_is_max_over_zerosumfree_coefficients():
     lau = get_instance("laurent(nat)")
     v = get_valuation("deg-high", lau)
-    for f, g in pair_stream(lau, SPEC, salt="degmax"):
+    for f, g in _elements(lau, pair_stream(lau, SPEC, salt="degmax")):
         if f.is_zero() or g.is_zero():
             continue
         expected = max(valuate(v, f), valuate(v, g))
@@ -304,7 +311,8 @@ def test_infinite_fiber_is_a_prime_ideal():
         v = get_valuation(rule, get_instance(sid))
         source = v.source
         zero = source.zero
-        for a, b in pair_stream(source, SampleSpec(1, 150, 10), salt="fiberlaws"):
+        for a, b in _elements(source, pair_stream(source, SampleSpec(1, 150, 10),
+                                                  salt="fiberlaws")):
             ainf = valuate(v, a).is_inf
             binf = valuate(v, b).is_inf
             if ainf and binf:
@@ -319,8 +327,9 @@ def test_level_chain_inclusions():
     # strict descending chain of level sets under a surjective rule
     qnn = get_instance("qnn")
     v = get_valuation("vp:5", qnn)
-    elems = stream(qnn, SampleSpec(1, 300, 40), salt="chain",
-                   keep=lambda x: in_valuation_semiring(v, x))
+    elems = [qnn.element(p) for p in stream(
+        qnn, SampleSpec(1, 300, 40), salt="chain",
+        keep=lambda p: in_valuation_semiring(v, qnn.element(p)))]
     for alpha, beta in ((0, 2), (1, 3), (0, 1)):
         a, b = fin("Z", alpha), fin("Z", beta)
         for x in elems:
@@ -433,7 +442,8 @@ def test_payload_rules_agree_with_valuate_and_send_zero_to_inf():
     digests = {}
     for v in _all_rules():
         src = v.source
-        xs = [*src.preamble, *stream(src, SampleSpec(1, 200, 50), salt="payload-rule"),
+        xs = [*map(src.element, [*src.preamble, *stream(src, SampleSpec(1, 200, 50),
+                                                         salt="payload-rule")]),
               src.zero]
         values = []
         for x in xs:
@@ -485,7 +495,8 @@ def test_unit_tests_and_value_elements_are_pinned():
     digests = {}
     for v in _all_rules():
         src = v.source
-        xs = [*src.preamble, *stream(src, SampleSpec(1, 200, 50), salt="payload-rule"),
+        xs = [*map(src.element, [*src.preamble, *stream(src, SampleSpec(1, 200, 50),
+                                                         salt="payload-rule")]),
               src.zero]
         units = [v.unit_in_sv(x) for x in xs]
         elements = []
@@ -510,7 +521,7 @@ def test_axioms_refute_a_finite_sum_of_two_infinite_values():
 
     v = Valuation("inf-on-2-or-3", nat, "N0",
                   lambda n: None if n % 2 == 0 or n % 3 == 0 else 0,
-                  unit_in_sv=nat.is_unit, element_with_value=ewv)
+                  payload_unit=nat._is_unit, element_with_value=ewv)
     report = check_valuation_axioms(v, SPEC)
     assert not report.holds
     assert report.detail == "v(x+y) < min"
@@ -532,8 +543,8 @@ def test_units_vs_zeroset_values_each_element_once():
     assert units_vs_zeroset(replace(v, payload_fn=counting), SPEC).holds
     tried = []
     stream(qnn, SPEC, salt="uz:vp:5",
-           keep=lambda x: tried.append(x) or in_valuation_semiring(v, x))
-    assert calls == [x.payload for x in tried]
+           keep=lambda p: tried.append(p) or in_valuation_semiring(v, qnn.element(p)))
+    assert calls == tried
 
 
 @pytest.mark.parametrize("rule,sid", REGISTERED_VALUATIONS)
