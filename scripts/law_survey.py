@@ -37,11 +37,11 @@ def main() -> None:
         mc, entire = probe_mc_entire(inst, spec)
         mc_text = mc.verdict + ("*" if mc.analytic else "")
         flags = []
-        if inst.caps.semifield:
+        if inst.semifield:
             flags.append("semifield")
-        elif inst.caps.mc:
+        elif inst.mc:
             flags.append("mc")
-        if inst.caps.zerosumfree:
+        if inst.zerosumfree:
             flags.append("zerosumfree")
         print(f"{sid:<24} {axioms.verdict:<8} {mc_text:<16} "
               f"{entire.verdict:<8} {','.join(flags)}")

@@ -46,7 +46,7 @@ class DVSStructure:
         if v.domain != "Z":
             raise ValueError(f"a discrete structure needs values in Z; {v.rule} on "
                              f"{v.source.sid} takes values in {v.domain}")
-        if not v.source.caps.semifield:
+        if not v.source.semifield:
             raise ValueError("the ambient instance must be a semifield with a "
                              "surjective valuation")
         object.__setattr__(self, "uniformizer", v.element_with_value(1))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 
 def _uniform(rng, a: int, b: int):
@@ -115,6 +116,7 @@ class DomainMismatchError(ValueError):
     """Raised when two extended values from different domains are combined."""
 
 
+@total_ordering
 @dataclass(frozen=True)
 class ExtendedValue:
     """A finite scalar in a named domain, or the adjoined greatest element.
@@ -132,17 +134,6 @@ class ExtendedValue:
         if self.value is not None:
             object.__setattr__(self, "value", monoid.check(self.value))
 
-    @classmethod
-    def _unchecked(cls, domain: str, value) -> "ExtendedValue":
-        """A value that lies in the domain by construction (a valuation
-        rule's result, a sum of two values); validation is skipped.  Outside
-        input goes through the constructor."""
-        obj = object.__new__(cls)
-        fields = obj.__dict__
-        fields["domain"] = domain
-        fields["value"] = value
-        return obj
-
     @property
     def is_inf(self) -> bool:
         return self.value is None
@@ -150,17 +141,9 @@ class ExtendedValue:
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
 
+    # total_ordering derives <=, > and >= from this
     def __lt__(self, other):
         return ext_compare(self, other) == LT
-
-    def __le__(self, other):
-        return ext_compare(self, other) != GT
-
-    def __gt__(self, other):
-        return ext_compare(self, other) == GT
-
-    def __ge__(self, other):
-        return ext_compare(self, other) != LT
 
 
 def _same_domain(a: ExtendedValue, b: ExtendedValue) -> None:
@@ -171,7 +154,7 @@ def _same_domain(a: ExtendedValue, b: ExtendedValue) -> None:
 def ext_add(a: ExtendedValue, b: ExtendedValue) -> ExtendedValue:
     """Tomonoid addition; the top element absorbs."""
     _same_domain(a, b)
-    return ExtendedValue._unchecked(a.domain, _raw_add(a.value, b.value))
+    return ExtendedValue(a.domain, _raw_add(a.value, b.value))
 
 
 def ext_compare(a: ExtendedValue, b: ExtendedValue) -> int:

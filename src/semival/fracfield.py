@@ -94,7 +94,7 @@ def extend_valuation(v: Valuation) -> Valuation:
     the result via z -> z/1.
     """
     src = v.source
-    if not src.caps.mc:
+    if not src.mc:
         raise ValueError(f"{src.sid} is not multiplicatively cancellative")
     return fraction_extension(f"ext({v.rule})", v,
                               get_instance(f"fractions({src.sid})"))

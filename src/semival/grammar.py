@@ -18,7 +18,7 @@ from functools import wraps
 from typing import TYPE_CHECKING
 
 from .instances import FractionSemiring, MonoidSemiring, split_top_level
-from .semiring import Element, Semiring
+from .semiring import _POWER_TERMS, Element, Semiring
 
 # parsing an element needs neither .content nor .ideals: the content and
 # ideal parsers import them when they run
@@ -207,7 +207,7 @@ def _eval_element(node, instance: Semiring) -> Element:
         right_int = _int_literal(node[2])
         if left_int is not None and right_int is not None:
             return instance.from_literal(_ratio(instance, left_int, right_int))
-        if instance.caps.semifield:
+        if instance.semifield:
             return instance.div(_eval_element(node[1], instance),
                                 _eval_element(node[2], instance))
         raise ValueError(f"{instance.sid} has no division")
@@ -280,6 +280,9 @@ def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial
             if node[2] < 0:
                 raise ValueError("negative powers of Y are not polynomials")
             base = evaluate(node[1])
+            if node[2] * base.degree() >= _POWER_TERMS:
+                raise ValueError("Y power: the result would pass the budget of "
+                                 f"{_POWER_TERMS} terms")
             out = make_content_poly(instance, [instance.one])
             for _ in range(node[2]):
                 out = cp_mul(out, base)

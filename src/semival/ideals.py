@@ -49,15 +49,12 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .extended import _nonnegative, _raw_lt, _raw_min
 from .instances import get_instance
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
-from .semiring import Element, Semiring, UnsupportedOperationError
+from .semiring import _TABLE_BUDGET, Element, Semiring, UnsupportedOperationError
 
 # membership needs neither .sampling nor .valuation: the sampled checks
 # import .sampling when they run, and LevelIdeal reads its valuation's rule
 if TYPE_CHECKING:
     from .valuation import Valuation
-
-# most entries a nat semigroup's memo or residue table may hold
-_TABLE_BUDGET = 1 << 20
 
 
 @lru_cache(maxsize=2048)
@@ -322,7 +319,7 @@ _RULES = {
 def _instance_rule(instance: Semiring) -> _Rule:
     """The rule of an instance without an entry in _RULES: the zero test as
     the key on a semifield, else no membership oracle at all."""
-    if instance.caps.semifield:
+    if instance.semifield:
         eq, zero = instance._eq, instance._zero()
         return _threshold(lambda p: eq(p, zero))
 

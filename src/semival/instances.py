@@ -21,12 +21,13 @@ exactly one instance object.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
 
 from .extended import MONOIDS, _raw_add, _raw_min, _uniform
-from .semiring import Capabilities, Element, Semiring, UnsupportedOperationError
+from .semiring import Element, Semiring, UnsupportedOperationError
 
 _N0 = MONOIDS["N0"]
 _EXPONENT = operator.itemgetter(0)
@@ -36,7 +37,8 @@ class NatSemiring(Semiring):
     """Nonnegative integers; multiplicatively cancellative but no inverses."""
 
     sid = "nat"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=False)
+    mc = entire = zerosumfree = True
+    semifield = False
     additively_cancellative = True
     payload_gcd = staticmethod(math.gcd)
 
@@ -78,14 +80,14 @@ class NatSemiring(Semiring):
     def _preamble(self):
         return (0, 1, 2, 3, 5)
 
-    _power_bits = staticmethod(lambda p: p.bit_length() - 1)
+    _power_size = staticmethod(lambda p, n: ((p.bit_length() - 1) * n, 0))
 
 
 class QnnSemiring(Semiring):
     """Nonnegative rationals; the semifield of fractions of nat."""
 
     sid = "qnn"
-    caps = Capabilities(mc=True, entire=True, zerosumfree=True, semifield=True)
+    mc = entire = zerosumfree = semifield = True
     additively_cancellative = True
 
     def _zero(self):
@@ -121,8 +123,8 @@ class QnnSemiring(Semiring):
         return (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2),
                 Fraction(5), Fraction(1, 5), Fraction(3))
 
-    _power_bits = staticmethod(
-        lambda p: p.numerator.bit_length() + p.denominator.bit_length() - 2)
+    _power_size = staticmethod(lambda p, n: (
+        (p.numerator.bit_length() + p.denominator.bit_length() - 2) * n, 0))
 
 
 class BoolPolySemiring(Semiring):
@@ -133,7 +135,8 @@ class BoolPolySemiring(Semiring):
     """
 
     sid = "bool-poly"
-    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False)
+    entire = zerosumfree = True
+    mc = semifield = False
 
     def _zero(self):
         return frozenset()
@@ -174,12 +177,16 @@ class BoolPolySemiring(Semiring):
     def _preamble(self):
         return (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))
 
+    # the exponents of p^n are the n-fold sumset of those of p
+    _power_size = staticmethod(lambda p, n: (0, n * (len(p) - 1) + 1))
+
 
 class FuzzySemiring(Semiring):
     """Rationals in [0,1] under max and min; entire but not cancellative."""
 
     sid = "fuzzy"
-    caps = Capabilities(mc=False, entire=True, zerosumfree=True, semifield=False)
+    entire = zerosumfree = True
+    mc = semifield = False
 
     def _zero(self):
         return Fraction(0)
@@ -225,11 +232,12 @@ class TropicalSemiring(Semiring):
     semifield; over N0 it is cancellative but keeps its units at {0}.
     """
 
+    mc = entire = zerosumfree = True
+
     def __init__(self, sid: str, values: str):
         self.sid = sid
         self.values = MONOIDS[values]
-        self.caps = Capabilities(mc=True, entire=True, zerosumfree=True,
-                                 semifield=self.values.inverses)
+        self.semifield = self.values.inverses
 
     def _zero(self):
         return None
@@ -289,6 +297,8 @@ class MonoidSemiring(Semiring):
     exponent; that tuple is the canonical form.
     """
 
+    semifield = False
+
     def __init__(self, sid: str, base: Semiring, exponents: str):
         monoid = MONOIDS.get(exponents)
         if monoid is None or monoid.draw is None:
@@ -298,12 +308,8 @@ class MonoidSemiring(Semiring):
         self.sid = sid
         self.base = base
         self.exponents = monoid
-        self.caps = Capabilities(
-            mc=base.caps.mc and base.additively_cancellative,
-            entire=base.caps.entire,
-            zerosumfree=base.caps.zerosumfree,
-            semifield=False,
-        )
+        self.mc = base.mc and base.additively_cancellative
+        self.entire, self.zerosumfree = base.entire, base.zerosumfree
         self._bzero = base._zero()
 
     def _zero(self):
@@ -412,6 +418,14 @@ class MonoidSemiring(Semiring):
         """Greatest exponent with a nonzero coefficient; None for zero."""
         return p[-1][0] if p else None
 
+    def _power_size(self, p, n):
+        # X = 1 maps p^n to the n-th power of p's coefficient sum in the base, and
+        # p^n has the n-fold sumset of p's exponents: every base here is entire
+        # and zerosumfree, so no term cancels
+        total = functools.reduce(self.base._add, (c for _, c in p), self._bzero)
+        bits, terms = self.base._power_size(total, n)
+        return bits, max(terms, n * (len(p) - 1) + 1)
+
     def _text(self, p):
         if not p:
             return "0"
@@ -469,14 +483,15 @@ class FractionSemiring(Semiring):
     stored as-is.  Any fraction with zero numerator collapses to 0/1.
     """
 
+    mc = entire = semifield = True
+
     def __init__(self, base: Semiring):
-        if not base.caps.mc:
+        if not base.mc:
             raise ValueError("fractions require a multiplicatively cancellative base")
         self.base = base
         self.sid = f"fractions({base.sid})"
-        self.caps = Capabilities(mc=True, entire=True,
-                                 zerosumfree=base.caps.zerosumfree, semifield=True)
-        self._bsemifield = base.caps.semifield
+        self.zerosumfree = base.zerosumfree
+        self._bsemifield = base.semifield
         self.structural_eq = base.payload_gcd is not None or self._bsemifield
         self._bzero = base._zero()
         self._bone = base._one()
@@ -552,6 +567,11 @@ class FractionSemiring(Semiring):
 
     def _text(self, p):
         return f"({self.base._text(p[0])})/({self.base._text(p[1])})"
+
+    def _power_size(self, p, n):
+        # p^n keeps the powers of both parts, still coprime where p is reduced
+        (nbits, nterms), (dbits, dterms) = (self.base._power_size(q, n) for q in p)
+        return nbits + dbits, nterms + dterms
 
     def _sampler(self, rng, bound):
         num = self.base._sampler(rng, bound)

@@ -45,7 +45,7 @@ def probe_mc(instance: Semiring, spec: SampleSpec) -> LawReport:
     b != c.  Semifields are cancellative by construction, so their verdict
     is returned analytically without sampling."""
     law = f"mc[{instance.sid}]"
-    if instance.caps.semifield:
+    if instance.semifield:
         return law_holds(law, spec, "semifield", analytic=True)
     eq, mul, z = instance._eq, instance._mul, instance._zero()
 
@@ -62,7 +62,7 @@ def probe_entire(instance: Semiring, spec: SampleSpec) -> LawReport:
     are entire by construction, so their verdict is returned analytically
     without sampling."""
     law = f"entire[{instance.sid}]"
-    if instance.caps.semifield:
+    if instance.semifield:
         return law_holds(law, spec, "semifield", analytic=True)
     eq, mul, z = instance._eq, instance._mul, instance._zero()
 

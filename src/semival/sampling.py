@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
@@ -28,30 +28,23 @@ def _rng(spec: SampleSpec, sid: str, salt: str) -> random.Random:
 # calls in cache_info(), which the benchmark reads under this name.
 @lru_cache(maxsize=0)
 def _cached_stream(instance: Semiring, seed: int, count: int, size_bound: int,
-                   salt: str) -> list:
+                   salt: str, keep: Callable[[object], bool] | None) -> list:
     spec = SampleSpec(seed, count, size_bound)
     draw = instance._sampler(_rng(spec, instance.sid, salt), size_bound)
-    out = list(instance.preamble[:count])
-    out.extend(draw() for _ in range(count - len(out)))
+    # filtered generation stops at a fixed cap of draws, which an unfiltered
+    # stream never reaches
+    pre, draws = instance.preamble, (draw() for _ in range(40 * count + 200))
+    if keep is not None:
+        pre, draws = filter(keep, pre), filter(keep, draws)
+    out = list(pre)[:count]
+    out.extend(islice(draws, count - len(out)))
     return out
 
 
 def stream(instance: Semiring, spec: SampleSpec, salt: str = "",
            keep: Callable[[object], bool] | None = None) -> list:
-    """spec.count payloads; filtered generation retries up to a fixed cap."""
-    if keep is None:
-        return _cached_stream(instance, spec.seed, spec.count, spec.size_bound,
-                              salt)
-    out = [p for p in instance.preamble if keep(p)][:spec.count]
-    draw = instance._sampler(_rng(spec, instance.sid, salt), spec.size_bound)
-    attempts = 0
-    limit = 40 * spec.count + 200
-    while len(out) < spec.count and attempts < limit:
-        p = draw()
-        attempts += 1
-        if keep(p):
-            out.append(p)
-    return out
+    """spec.count payloads, or fewer where keep rejects too many draws."""
+    return _cached_stream(instance, spec.seed, spec.count, spec.size_bound, salt, keep)
 
 
 def _tuple_stream(instance: Semiring, spec: SampleSpec, salts: tuple[str, ...],

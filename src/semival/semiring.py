@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+
+# Size budgets, each checked before the work it bounds: a power's bits (5^1000000
+# has 2.3 M) and terms (a power of Y too), and a nat semigroup's memo or table.
+_POWER_BITS = 1 << 25
+_POWER_TERMS = 1 << 10
+_TABLE_BUDGET = 1 << 20
 
 
 class InstanceMismatchError(ValueError):
@@ -22,25 +28,6 @@ class InstanceMismatchError(ValueError):
 
 class UnsupportedOperationError(ValueError):
     """Raised when an instance lacks the requested capability."""
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """Fixed, documented structural flags of one instance.
-
-    Consistency is enforced: semifield implies mc implies entire.
-    """
-
-    mc: bool
-    entire: bool
-    zerosumfree: bool
-    semifield: bool
-
-    def __post_init__(self):
-        if self.semifield and not self.mc:
-            raise ValueError("semifield implies multiplicatively cancellative")
-        if self.mc and not self.entire:
-            raise ValueError("multiplicatively cancellative implies entire")
 
 
 class Element:
@@ -77,11 +64,13 @@ class Semiring(ABC):
     """Base class for catalogue instances.
 
     Subclasses implement payload-level primitives; the element-level API
-    here validates instance membership and wraps results canonically.
+    here validates instance membership and wraps results canonically.  Each
+    sets the paper's hypotheses as the flags ``mc`` (multiplicatively
+    cancellative), ``entire``, ``zerosumfree`` and ``semifield``: semifield
+    implies mc, which implies entire.
     """
 
     sid: str
-    caps: Capabilities
     # True when canonical payloads make structural equality exact.
     structural_eq: bool = True
     # True when the additive monoid is cancellative (a+b = a+c implies b = c);
@@ -89,10 +78,9 @@ class Semiring(ABC):
     additively_cancellative: bool = False
     # set to a two-argument gcd on payloads where one exists (nat, ideals-z)
     payload_gcd = None
-    # nat, ideals-z and qnn set _power_bits, a payload's least bits per unit of
-    # exponent: power refuses a result past _POWER_BITS (5^1000000 has 2.3 M)
-    _power_bits = None
-    _POWER_BITS = 1 << 25
+    # lower bounds on the bits and the terms of p^n for n >= 0, which power
+    # checks against the budgets; none where powers do not grow (tropical, fuzzy)
+    _power_size = staticmethod(lambda p, n: (0, 0))
 
     # -- payload primitives -------------------------------------------------
 
@@ -199,9 +187,12 @@ class Semiring(ABC):
             raise ValueError(f"integer exponent expected, got {n!r}")
         if n < 0:
             return self.power(self.inv(a), -n)
-        if self._power_bits and self._power_bits(a.payload) * n > self._POWER_BITS:
-            raise ValueError(f"{self.sid} power: the result would pass the budget of "
-                             f"{self._POWER_BITS} bits")
+        bits, terms = self._power_size(a.payload, n)
+        if bits > _POWER_BITS or terms > _POWER_TERMS:
+            budget = (f"{_POWER_BITS} bits" if bits > _POWER_BITS
+                      else f"{_POWER_TERMS} terms")
+            raise ValueError(f"{self.sid} power: the result would pass the budget "
+                             f"of {budget}")
         mul, result, base = self._mul, self._one(), a.payload
         while n:
             if n & 1:

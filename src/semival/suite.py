@@ -29,7 +29,7 @@ from .dvs import (
     intersection_probe,
     standard_dvs_structures,
 )
-from .extended import ExtendedValue, _raw_lt
+from .extended import _raw_lt
 from .fracfield import embed_in_fractions, extend_valuation
 from .ideals import (
     first_incomparable_pair,
@@ -121,12 +121,9 @@ def criterion_2() -> CriterionResult:
         if not (vx != vy and vs != min(vx, vy)):
             problems.append("recorded witness does not re-verify")
         # and the canonical pair (1, X) exhibits the same violation
-        frs = v.source
-        one, x = frs.one, frs.indeterminate()
-        v1, vX = valuate(v, one), valuate(v, x)
-        vsum = valuate(v, frs.add(one, x))
-        if not (v1 == ExtendedValue("Z", 0) and vX == ExtendedValue("Z", 1)
-                and vsum == ExtendedValue("Z", 1)):
+        frs, raw = v.source, v.payload_fn
+        one, x = frs._one(), frs.indeterminate().payload
+        if (raw(one), raw(x), raw(frs._add(one, x))) != (0, 1, 1):
             problems.append("the pair (1, X) does not re-verify")
     return _verdict(2, "min-property dichotomy", problems,
                     "four rules hold, deg-frac refuted; witness "
@@ -139,7 +136,7 @@ def criterion_3() -> CriterionResult:
     problems = []
     holds_count = cex_count = 0
     for rule, sid in REGISTERED_VALUATIONS:
-        if not get_instance(sid).caps.semifield:
+        if not get_instance(sid).semifield:
             continue
         v = _valuation(rule, sid)
         minp = check_min_property(v, FULL).holds
@@ -186,12 +183,10 @@ def criterion_5() -> CriterionResult:
     report = check_valuation_axioms(ext, FULL)
     if not report.holds:
         problems.append(str(report))
-    frs = ext.source
-    for z in map(nat.element, stream(nat, MID, salt="embed")):
-        lifted = valuate(ext, embed_in_fractions(frs, z))
-        base = valuate(v, z)
+    frs, lifted, base = ext.source, ext.payload_fn, v.payload_fn
+    for z in stream(nat, MID, salt="embed"):
         # the domains differ (Z and N0), so compare raw values, None for inf
-        if lifted.value != base.value:
+        if lifted(embed_in_fractions(frs, nat.element(z)).payload) != base(z):
             problems.append(f"embedding mismatch at {z}")
             break
     return _verdict(5, "valuation extension to the fraction semifield", problems,

@@ -440,6 +440,50 @@ def test_powers_within_the_budget_or_on_tropical_carriers_are_built(capsys):
     assert (code, out) == (0, "199999999998\n")
 
 
+@pytest.mark.parametrize("argv, budget", [
+    (["ideal", "--semiring", "bool-poly", "--op", "contains", "ideal[X]",
+      "(1+X)^100000000"], "1024 terms"),
+    (["ideal", "--semiring", "poly(nat)", "--op", "contains", "ideal[X]",
+      "(1+X)^100000"], "1024 terms"),
+    (["ideal", "--semiring", "monoid(nat,Q)", "--op", "contains", "ideal[X]",
+      "(1+X^(1/2))^100000"], "1024 terms"),
+    (["ideal", "--semiring", "fractions(nat)", "--op", "contains", "ideal[1]",
+      "(2/3)^100000000"], "33554432 bits"),
+    (["valuate", "--semiring", "poly(nat)", "--valuation", "low-order",
+      "(1+X)^1000000"], "1024 terms"),
+], ids=["bool-poly", "poly", "monoid-q", "fractions", "valuate-poly"])
+def test_a_power_past_its_size_budget_is_refused_before_one_multiplication(
+        capsys, monkeypatch, argv, budget):
+    # unbudgeted, each of these ran past 10 s
+    inst = get_instance(argv[2])
+
+    def no_product(p, q):
+        raise AssertionError("multiplied")
+    monkeypatch.setattr(inst, "_mul", no_product)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[2]} power: the result would pass the budget of {budget}\n"
+
+
+def test_powers_inside_the_term_budget_or_with_one_term_are_built(capsys):
+    poly = get_instance("poly(nat)")
+    one_plus_x = poly.add(poly.one, poly.indeterminate())
+    assert len(poly.power(one_plus_x, 1023).payload) == 1024
+    code, out, _ = run(capsys, "ideal", "--output", "json", "--semiring", "bool-poly",
+                       "--op", "contains", "ideal[X]", "X^100000000")
+    assert (code, json.loads(out)["result"]) == (0, "true")
+
+
+def test_a_power_of_y_past_the_term_budget_is_refused_before_it_is_built():
+    from semival.grammar import parse_content_polynomial
+    nat = get_instance("nat")
+    assert parse_content_polynomial("(1+Y)^1023", nat).degree() == 1023
+    for text in ("Y^1024", "Y^5000", "(1+Y^2)^20000"):
+        with pytest.raises(ValueError, match=r"^Y power: the result would pass the "
+                                             r"budget of 1024 terms$"):
+            parse_content_polynomial(text, nat)
+
+
 @pytest.mark.parametrize("op, args", [("contains", ["ideal[1/5]", "1"]),
                                       ("sum", ["ideal[5]", "ideal[1/5, 25]"])])
 def test_dvs_ideal_generators_must_lie_in_the_carrier(capsys, op, args):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,19 @@ def test_total_order(a, b):
     assert ext_compare(x, y) == -ext_compare(y, x)
     assert ext_min(x, y) in (x, y)
     assert ext_min(x, y) <= x and ext_min(x, y) <= y
+
+
+def test_order_operators_refuse_mixed_domains_and_put_inf_on_top():
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(DomainMismatchError):
+            compare(fin("Z", 0), fin("N0", 0))
+        with pytest.raises(DomainMismatchError):
+            compare(inf("Z"), inf("Q"))
+    top = inf("Z")
+    for x in (fin("Z", -50), fin("Z", 0), fin("Z", 10**30)):
+        assert x < top and x <= top and top > x and top >= x
+        assert not (top < x or top <= x or x > top or x >= top)
+    assert top <= top and top >= top and not (top < top or top > top)
 
 
 def test_negation_and_difference():

@@ -77,7 +77,7 @@ def ref_reduce(inst, gens, D):
         return _first_least(gens, lambda g: g.payload)
     if sid == "fuzzy":
         return _first_least(gens, lambda g: -g.payload)
-    if inst.caps.semifield:
+    if inst.semifield:
         return _first_least(gens, lambda g: g.is_zero())
     unique = []
     for g in gens:

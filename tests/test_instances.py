@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semival.extended import MONOIDS, ExtendedValue
-from semival.instances import ALL_REGISTERED_IDS, _uniform, get_instance
+from semival.instances import (
+    ALL_REGISTERED_IDS,
+    FractionSemiring,
+    MonoidSemiring,
+    _uniform,
+    get_instance,
+)
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
 from semival.sampling import pair_stream, triple_stream
@@ -23,13 +29,19 @@ def test_registry_resolves_each_id_once():
         get_instance("fractions(fuzzy)")  # fuzzy is not cancellative
 
 
+# composite descriptors that resolve without being registered: their flags
+# are derived from the base's
+UNREGISTERED_IDS = ("poly(qnn)", "laurent(fractions(nat))", "fractions(poly(qnn))",
+                    "monoid(ideals-z,Q)", "poly(bool-poly)")
+
+
 def test_capability_consistency():
-    for sid in ALL_REGISTERED_IDS:
-        caps = get_instance(sid).caps
-        if caps.semifield:
-            assert caps.mc
-        if caps.mc:
-            assert caps.entire
+    for sid in ALL_REGISTERED_IDS + UNREGISTERED_IDS:
+        inst = get_instance(sid)
+        if inst.semifield:
+            assert inst.mc, sid
+        if inst.mc:
+            assert inst.entire, sid
 
 
 def test_tropical_examples():
@@ -110,7 +122,7 @@ def test_inverse_flag_agrees_with_x_being_a_unit(name):
 @pytest.mark.parametrize("name", sorted(TROPICAL))
 def test_tropical_carriers_read_their_monoid(name):
     trop = get_instance(TROPICAL[name])
-    assert trop.caps.semifield == MONOIDS[name].inverses
+    assert trop.semifield == MONOIDS[name].inverses
     assert get_valuation("tropical-id", trop).domain == name
 
 
@@ -143,7 +155,7 @@ def test_semifield_inverses_multiply_to_one():
     rng = random.Random("inverses")
     for sid in ALL_REGISTERED_IDS:
         inst = get_instance(sid)
-        if not inst.caps.semifield:
+        if not inst.semifield:
             continue
         for _ in range(100):
             a = inst.sample(rng, 20)
@@ -158,7 +170,7 @@ FLAG_SPEC = SampleSpec(1, 400, 12)
 
 
 def _flagged(flag):
-    return [sid for sid in ALL_REGISTERED_IDS if getattr(get_instance(sid).caps, flag)]
+    return [sid for sid in ALL_REGISTERED_IDS if getattr(get_instance(sid), flag)]
 
 
 def _elements(inst, tuples):
@@ -411,3 +423,34 @@ def test_power_squares_once_per_exponent_bit_below_the_top(monkeypatch):
         assert len(calls) == k + 1
     calls.clear()
     assert nat.power(nat.element(3), 0) == nat.one and not calls
+
+
+def _measured_size(inst, p):
+    """The bits and the terms of a payload, counted through its parts."""
+    if isinstance(inst, MonoidSemiring):
+        parts = [_measured_size(inst.base, c) for _, c in p]
+        return sum(b for b, _ in parts), len(p) + sum(t for _, t in parts)
+    if isinstance(inst, FractionSemiring):
+        (nb, nt), (db, dt) = (_measured_size(inst.base, q) for q in p)
+        return nb + db, nt + dt
+    if inst.sid in ("nat", "ideals-z"):
+        return p.bit_length(), 0
+    if inst.sid == "qnn":
+        return p.numerator.bit_length() + p.denominator.bit_length(), 0
+    if inst.sid == "bool-poly":
+        return 0, len(p)
+    return 0, 0
+
+
+@pytest.mark.parametrize("sid", ALL_REGISTERED_IDS + ("poly(poly(nat))", "poly(qnn)"))
+def test_power_size_estimates_are_lower_bounds(sid):
+    # power refuses on these estimates, so one above the real size would
+    # refuse a power that fits its budget
+    inst = get_instance(sid)
+    rng = random.Random(f"power-size:{sid}")
+    for _ in range(60):
+        a = inst.sample(rng, 6)
+        for n in range(5):
+            bits, terms = inst._power_size(a.payload, n)
+            real_bits, real_terms = _measured_size(inst, inst.power(a, n).payload)
+            assert bits <= real_bits and terms <= real_terms, (str(a), n)

@@ -86,7 +86,7 @@ class Reference:
             raise ZeroDivisionError
         if self.base.eq(num, self.bzero):
             return (self.bzero, self.bone)
-        if base.caps.semifield:
+        if base.semifield:
             return (self.base.mul(num, base._inv(den)), self.bone)
         if base.payload_gcd is not None:
             g = base.payload_gcd(num, den)

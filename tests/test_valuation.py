@@ -160,7 +160,7 @@ def test_rule_values_pass_domain_validation(rule, sid):
 def test_infinite_fiber_is_exactly_zero_on_entire_sources(rule, sid):
     v = get_valuation(rule, get_instance(sid))
     source = v.source
-    assert source.caps.entire
+    assert source.entire
     for x in map(source.element, stream(source, SPEC, salt="fiber")):
         assert valuate(v, x).is_inf == x.is_zero()
 
