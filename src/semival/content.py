@@ -14,27 +14,20 @@ from itertools import chain, islice, product, zip_longest
 
 from .dvs import DVSStructure
 from .extended import _uniform
-from .ideals import (
-    FinGenIdeal,
-    _check_structure,
-    _ideal,
-    ideal_power,
-    ideal_product,
-    ideal_subset,
-)
+from .ideals import FinGenIdeal, ideal_power, ideal_product, ideal_subset
 from .instances import FractionSemiring
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
 from .sampling import stream
-from .semiring import Element, Semiring
+from .semiring import InstanceMismatchError, Semiring
 
 
 @dataclass(frozen=True)
 class ContentPolynomial:
-    """Coefficient list over one instance, index = exponent of Y; trailing
+    """Coefficient payloads over one instance, index = exponent of Y; trailing
     zero coefficients are stripped and the zero polynomial is empty."""
 
     instance: Semiring
-    coeffs: tuple[Element, ...]
+    coeffs: tuple
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -44,22 +37,23 @@ class ContentPolynomial:
         return not self.coeffs
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        inst = self.instance
+        eq, zero, text = inst._eq, inst._zero(), inst._text
         terms = []
         for k, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if eq(c, zero):
                 continue
             if k == 0:
-                terms.append(f"({c})")
+                terms.append(f"({text(c)})")
             elif k == 1:
-                terms.append(f"({c})*Y")
+                terms.append(f"({text(c)})*Y")
             else:
-                terms.append(f"({c})*Y^{k}")
+                terms.append(f"({text(c)})*Y^{k}")
         return " + ".join(terms) if terms else "0"
 
 
 def make_content_poly(instance: Semiring, coeffs) -> ContentPolynomial:
+    """The polynomial of coefficient elements, trailing zeros stripped."""
     coeffs = list(coeffs)
     for c in coeffs:
         instance._claim(c)
@@ -71,28 +65,29 @@ def _poly(instance: Semiring, payloads: list) -> ContentPolynomial:
     eq, zero = instance._eq, instance._zero()
     while payloads and eq(payloads[-1], zero):
         payloads.pop()
-    return ContentPolynomial(instance, tuple(Element(instance, p) for p in payloads))
+    return ContentPolynomial(instance, tuple(payloads))
+
+
+def _shared_instance(f: ContentPolynomial, g: ContentPolynomial) -> Semiring:
+    if g.instance is not f.instance:
+        raise InstanceMismatchError(f"expected a polynomial over {f.instance.sid}")
+    return f.instance
 
 
 def cp_add(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
-    inst = f.instance
-    pairs = zip_longest(f.coeffs, g.coeffs, fillvalue=inst.zero)
-    return _poly(inst, [inst.add(a, b).payload for a, b in pairs])
+    inst = _shared_instance(f, g)
+    pairs = zip_longest(f.coeffs, g.coeffs, fillvalue=inst._zero())
+    return _poly(inst, [inst._add(a, b) for a, b in pairs])
 
 
 def cp_mul(f: ContentPolynomial, g: ContentPolynomial) -> ContentPolynomial:
-    inst = f.instance
+    inst = _shared_instance(f, g)
     if f.is_zero() or g.is_zero():
         return ContentPolynomial(inst, ())
-    # the coefficients multiply as payloads; g's are claimed as mul would
-    for b in g.coeffs:
-        inst._claim(b)
-    add, mul, zero = inst._add, inst._mul, inst._zero()
-    gs = [b.payload for b in g.coeffs]
-    out = [zero] * (len(f.coeffs) + len(gs) - 1)
+    add, mul = inst._add, inst._mul
+    out = [inst._zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
     for i, a in enumerate(f.coeffs):
-        a = a.payload
-        for j, b in enumerate(gs):
+        for j, b in enumerate(g.coeffs):
             out[i + j] = add(out[i + j], mul(a, b))
     return _poly(inst, out)
 
@@ -107,10 +102,9 @@ def content(f: ContentPolynomial, dvs: DVSStructure | None = None) -> FinGenIdea
     """The ideal generated by the nonzero coefficients; (0) for the zero
     polynomial."""
     inst = f.instance
-    _check_structure(inst, dvs)
     eq, zero = inst._eq, inst._zero()
-    gens = tuple(c.payload for c in f.coeffs if not eq(c.payload, zero))
-    return _ideal(inst, gens or (zero,), dvs)
+    gens = tuple(c for c in f.coeffs if not eq(c, zero))
+    return FinGenIdeal(inst, gens or (zero,), dvs)
 
 
 def _equal_ideals(law: str, pair: tuple, I: FinGenIdeal, J: FinGenIdeal,

@@ -97,7 +97,8 @@ class DVSStructure:
         """The principal ideal (t^n) of the carrier, n >= 0; built once per n."""
         ideals = self._power_ideals
         if n not in ideals:
-            ideals[n] = self._ideals._ideal(self.ambient, (self.power_payload(n),), self)
+            ideals[n] = self._ideals.FinGenIdeal(self.ambient, (self.power_payload(n),),
+                                                 self)
         return ideals[n]
 
     @cached_property
@@ -219,30 +220,23 @@ def integral_check(D: DVSStructure, u: Element, degree_bound: int,
     for a in pool:
         if not D.contains(a):
             raise ValueError(f"pool element {a} lies outside the carrier")
-    structural = amb.structural_eq
-    powers = [amb.one]
+    add, mul, eq, structural = amb._add, amb._mul, amb._eq, amb.structural_eq
+    x, cs = u.payload, [a.payload for a in pool]
+    powers = [amb._one()]
     for n in range(1, degree_bound + 1):
-        powers.append(amb.mul(powers[-1], u))
+        powers.append(mul(powers[-1], x))
         # all sums c1 u^(n-1) + ... + cn over pool tuples, built positionwise
-        position_terms = [[amb.mul(c, powers[n - 1 - i]) for c in pool]
-                          for i in range(n)]
-        sums = [amb.zero]
-        for terms in position_terms:
-            sums = [amb.add(s, t) for s in sums for t in terms]
-        lead = powers[n]
-        lefts = [amb.add(lead, s) for s in sums]
-        if structural:
-            right_payloads = {s.payload for s in sums}
-            for left in lefts:
-                if left.payload in right_payloads:
-                    return law_counterexample(law, (u, left),
-                                              detail=f"degree {n} witness")
-        else:
-            for left in lefts:
-                for right in sums:
-                    if amb.eq(left, right):
-                        return law_counterexample(law, (u, left),
-                                                  detail=f"degree {n} witness")
+        sums = [amb._zero()]
+        for i in range(n):
+            terms = [mul(c, powers[n - 1 - i]) for c in cs]
+            sums = [add(s, t) for s in sums for t in terms]
+        # a set lookup where payloads are canonical, pairwise _eq otherwise
+        rights = set(sums) if structural else sums
+        for s in sums:
+            left = add(powers[n], s)
+            if left in rights if structural else any(eq(left, r) for r in rights):
+                return law_counterexample(law, (u, Element(amb, left)),
+                                          detail=f"degree {n} witness")
     return law_holds(law, detail=f"no witness up to degree {degree_bound}")
 
 

@@ -18,7 +18,7 @@ from functools import wraps
 from typing import TYPE_CHECKING
 
 from .instances import FractionSemiring, MonoidSemiring, split_top_level
-from .semiring import _POWER_TERMS, Element, Semiring
+from .semiring import _POWER_TERMS, Element, Semiring, _square_and_multiply
 
 # parsing an element needs neither .content nor .ideals: the content and
 # ideal parsers import them when they run
@@ -266,12 +266,14 @@ def _mentions_y(node) -> bool:
 def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial:
     """Parse a polynomial in the fresh indeterminate Y with coefficients in
     the given instance."""
-    from .content import cp_add, cp_mul, make_content_poly
+    from .content import _poly, cp_add, cp_mul
+
+    one = instance._one()
 
     def evaluate(node) -> ContentPolynomial:
         kind = node[0]
         if kind == "name" and node[1] == "Y":
-            return make_content_poly(instance, [instance.zero, instance.one])
+            return _poly(instance, [instance._zero(), one])
         if kind == "add":
             return cp_add(evaluate(node[1]), evaluate(node[2]))
         if kind == "mul":
@@ -283,13 +285,10 @@ def parse_content_polynomial(text: str, instance: Semiring) -> ContentPolynomial
             if node[2] * base.degree() >= _POWER_TERMS:
                 raise ValueError("Y power: the result would pass the budget of "
                                  f"{_POWER_TERMS} terms")
-            out = make_content_poly(instance, [instance.one])
-            for _ in range(node[2]):
-                out = cp_mul(out, base)
-            return out
+            return _square_and_multiply(cp_mul, _poly(instance, [one]), base, node[2])
         if _mentions_y(node):
             raise ValueError("Y may only appear in sums, products and powers")
-        return make_content_poly(instance, [_eval_element(node, instance)])
+        return _poly(instance, [_eval_element(node, instance).payload])
 
     return evaluate(_parse_ast(text))
 

@@ -334,28 +334,19 @@ def _rule_for(instance: Semiring, dvs) -> _Rule:
     return _RULES.get(instance.sid) or _instance_rule(instance)
 
 
-def _check_structure(instance: Semiring, dvs) -> None:
-    if dvs is not None and dvs.ambient is not instance:
-        raise ValueError(f"{dvs.name} is not a structure on {instance.sid}")
-
-
 class FinGenIdeal:
-    """A nonempty finite generator list over one instance, reduced by its
-    rule and kept as payloads.  When ``dvs`` is set the ideal lives in the
-    carrier of that discrete valuation structure and membership goes through
-    the valuation.
+    """A nonempty tuple of canonical generator payloads over one instance,
+    reduced by its rule on construction (make_ideal takes elements).  When
+    ``dvs`` is set the ideal lives in the carrier of that discrete valuation
+    structure and membership goes through the valuation.
     """
 
-    def __init__(self, instance: Semiring, generators: tuple[Element, ...], dvs=None):
+    def __init__(self, instance: Semiring, payloads: tuple, dvs=None):
         # dvs is a DVSStructure, kept untyped to avoid an import cycle
-        _check_structure(instance, dvs)
-        if not generators:
+        if dvs is not None and dvs.ambient is not instance:
+            raise ValueError(f"{dvs.name} is not a structure on {instance.sid}")
+        if not payloads:
             raise ValueError("an ideal needs at least one generator")
-        for g in generators:
-            instance._claim(g)
-        self._reduce(instance, tuple(g.payload for g in generators), dvs)
-
-    def _reduce(self, instance: Semiring, payloads: tuple, dvs) -> None:
         self.instance, self.dvs = instance, dvs
         self._rule = _rule_for(instance, dvs)
         self.payloads = self._rule.reduce(payloads)
@@ -390,17 +381,12 @@ class FinGenIdeal:
         return f"FinGenIdeal({self.instance.sid}, {self})"
 
 
-def _ideal(instance: Semiring, payloads: tuple, dvs) -> FinGenIdeal:
-    """The ideal of canonical payloads of instance, reduced by its rule;
-    nothing is claimed or checked."""
-    ideal = FinGenIdeal.__new__(FinGenIdeal)
-    ideal._reduce(instance, payloads, dvs)
-    return ideal
-
-
 def make_ideal(instance: Semiring, generators, dvs=None) -> FinGenIdeal:
-    """Build an ideal; the instance's rule reduces its generator list."""
-    return FinGenIdeal(instance, tuple(generators), dvs)
+    """Build an ideal from elements; the instance's rule reduces them."""
+    generators = tuple(generators)
+    for g in generators:
+        instance._claim(g)
+    return FinGenIdeal(instance, tuple(g.payload for g in generators), dvs)
 
 
 def principal(instance: Semiring, x: Element, dvs=None) -> FinGenIdeal:
@@ -424,20 +410,20 @@ def _require_same(I: FinGenIdeal, J: FinGenIdeal) -> None:
 
 def ideal_sum(I: FinGenIdeal, J: FinGenIdeal) -> FinGenIdeal:
     _require_same(I, J)
-    return _ideal(I.instance, I.payloads + J.payloads, I.dvs)
+    return FinGenIdeal(I.instance, I.payloads + J.payloads, I.dvs)
 
 
 def ideal_product(I: FinGenIdeal, J: FinGenIdeal) -> FinGenIdeal:
     _require_same(I, J)
     mul = I.instance._mul
-    return _ideal(I.instance, tuple(mul(a, b) for a in I.payloads for b in J.payloads),
-                  I.dvs)
+    return FinGenIdeal(I.instance, tuple(mul(a, b) for a in I.payloads
+                                         for b in J.payloads), I.dvs)
 
 
 def ideal_power(I: FinGenIdeal, n: int) -> FinGenIdeal:
     if n < 0:
         raise ValueError("ideal powers need n >= 0")
-    result = _ideal(I.instance, (I.instance._one(),), I.dvs)
+    result = FinGenIdeal(I.instance, (I.instance._one(),), I.dvs)
     for _ in range(n):
         result = ideal_product(result, I)
     return result

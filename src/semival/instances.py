@@ -81,6 +81,8 @@ class NatSemiring(Semiring):
         return (0, 1, 2, 3, 5)
 
     _power_size = staticmethod(lambda p, n: ((p.bit_length() - 1) * n, 0))
+    _product_size = staticmethod(lambda p, q: (
+        p.bit_length() + q.bit_length() - 1 if p and q else 0, 0))
 
 
 class QnnSemiring(Semiring):
@@ -177,8 +179,10 @@ class BoolPolySemiring(Semiring):
     def _preamble(self):
         return (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)))
 
-    # the exponents of p^n are the n-fold sumset of those of p
+    # the exponents of p^n are the n-fold sumset of those of p, and those of p*q
+    # their sumset, of at least |p| + |q| - 1 elements
     _power_size = staticmethod(lambda p, n: (0, n * (len(p) - 1) + 1))
+    _product_size = staticmethod(lambda p, q: (0, len(p) + len(q) - 1 if p and q else 0))
 
 
 class FuzzySemiring(Semiring):
@@ -417,6 +421,9 @@ class MonoidSemiring(Semiring):
     def high_order(self, p):
         """Greatest exponent with a nonzero coefficient; None for zero."""
         return p[-1][0] if p else None
+
+    # p*q has the sumset of their exponents, as on bool-poly
+    _product_size = staticmethod(BoolPolySemiring._product_size)
 
     def _power_size(self, p, n):
         # X = 1 maps p^n to the n-th power of p's coefficient sum in the base, and

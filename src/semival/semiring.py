@@ -15,11 +15,24 @@ from fractions import Fraction
 from functools import cached_property
 
 
-# Size budgets, each checked before the work it bounds: a power's bits (5^1000000
-# has 2.3 M) and terms (a power of Y too), and a nat semigroup's memo or table.
+# Size budgets, each checked before the work it bounds: the bits (5^1000000 has
+# 2.3 M) and terms of a power or a product (a power of Y too), and a nat
+# semigroup's memo or table.
 _POWER_BITS = 1 << 25
 _POWER_TERMS = 1 << 10
 _TABLE_BUDGET = 1 << 20
+
+
+def _square_and_multiply(mul, one, base, n: int):
+    """base^n for n >= 0 by binary powering, with no squaring after the top bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 class InstanceMismatchError(ValueError):
@@ -78,9 +91,11 @@ class Semiring(ABC):
     additively_cancellative: bool = False
     # set to a two-argument gcd on payloads where one exists (nat, ideals-z)
     payload_gcd = None
-    # lower bounds on the bits and the terms of p^n for n >= 0, which power
-    # checks against the budgets; none where powers do not grow (tropical, fuzzy)
+    # lower bounds on the bits and the terms of p^n for n >= 0 and of p*q, which
+    # power and mul check against the budgets; none where results do not grow
+    # (tropical, fuzzy) or may shrink (products that reduce: qnn, fractions)
     _power_size = staticmethod(lambda p, n: (0, 0))
+    _product_size = staticmethod(lambda p, q: (0, 0))
 
     # -- payload primitives -------------------------------------------------
 
@@ -163,6 +178,7 @@ class Semiring(ABC):
     def mul(self, a: Element, b: Element) -> Element:
         self._claim(a)
         self._claim(b)
+        self._check_size("product", *self._product_size(a.payload, b.payload))
         return Element(self, self._mul(a.payload, b.payload))
 
     def eq(self, a: Element, b: Element) -> bool:
@@ -187,20 +203,16 @@ class Semiring(ABC):
             raise ValueError(f"integer exponent expected, got {n!r}")
         if n < 0:
             return self.power(self.inv(a), -n)
-        bits, terms = self._power_size(a.payload, n)
+        self._check_size("power", *self._power_size(a.payload, n))
+        return Element(self, _square_and_multiply(self._mul, self._one(), a.payload, n))
+
+    def _check_size(self, what: str, bits: int, terms: int) -> None:
+        """Refuse a result whose size bounds pass a budget."""
         if bits > _POWER_BITS or terms > _POWER_TERMS:
             budget = (f"{_POWER_BITS} bits" if bits > _POWER_BITS
                       else f"{_POWER_TERMS} terms")
-            raise ValueError(f"{self.sid} power: the result would pass the budget "
+            raise ValueError(f"{self.sid} {what}: the result would pass the budget "
                              f"of {budget}")
-        mul, result, base = self._mul, self._one(), a.payload
-        while n:
-            if n & 1:
-                result = mul(result, base)
-            n >>= 1
-            if n:
-                base = mul(base, base)
-        return Element(self, result)
 
     def from_literal(self, q) -> Element:
         if isinstance(q, Fraction) and q.denominator == 1:

@@ -215,7 +215,7 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
         if I.is_zero():
             continue
         n = dvs_ideal_of(D, I)
-        if n != min(valuate(v, g).value for g in gens):
+        if n != min(v.payload_fn(g.payload) for g in gens):
             problems.append(f"ideal exponent mismatch for {I}")
             break
     # (c) normal forms round-trip exactly

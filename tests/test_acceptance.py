@@ -155,8 +155,7 @@ def test_criterion_10_dedekind_mertens():
     f_poly = parse_content_polynomial(f_text, nat)
     g_poly = parse_content_polynomial(g_text, nat)
     assert (str(f_poly), str(g_poly)) == (f_text, g_text)
-    f = [c.payload for c in f_poly.coeffs]
-    g = [c.payload for c in g_poly.coeffs]
+    f, g = list(f_poly.coeffs), list(g_poly.coeffs)
     w = int(w_text)
 
     fg = [0] * (len(f) + len(g) - 1)

@@ -71,3 +71,31 @@ def test_valuation_rule_is_an_init_field():
 def test_min_property_report_carries_the_pair():
     from semival.valuation import MinPropertyReport
     assert {"x", "y"} <= {f.name for f in dataclasses.fields(MinPropertyReport)}
+
+
+def test_every_result_attribute_the_benchmark_reads_exists_on_real_objects():
+    # read by perfbench/tracer.py (generators, after each ideal_product) and
+    # perfbench/worker.py (the rest) off the objects the library returns
+    from semival.dvs import standard_dvs_structures
+    from semival.extended import ExtendedValue
+    from semival.ideals import ideal_product, ideal_subset, make_ideal
+    from semival.instances import get_instance
+    from semival.semiring import Element
+    from semival.suite import criterion_7
+    from semival.valuation import get_valuation
+
+    nat = get_instance("nat")
+    product = ideal_product(make_ideal(nat, [nat.element(2)]),
+                            make_ideal(nat, [nat.element(3)]))
+    assert [g.payload for g in product.generators] == [6]
+    assert all(isinstance(g, Element) for g in product.generators)
+    report = ideal_subset(make_ideal(nat, [nat.one]), product)
+    assert (report.verdict, report.holds) == ("counterexample", False)
+    assert tuple(report.witness) == (nat.one,)
+    qnn = get_instance("qnn")
+    v = get_valuation("vp:5", qnn)
+    assert v.source is qnn and v.zero_value == ExtendedValue("Z", 0)
+    assert v.unit_in_sv(qnn.one) and not v.unit_in_sv(qnn.element(5))
+    assert standard_dvs_structures()[0].ambient is qnn
+    result = criterion_7()
+    assert result.passed is True and isinstance(result.detail, str)

@@ -474,6 +474,60 @@ def test_powers_inside_the_term_budget_or_with_one_term_are_built(capsys):
     assert (code, json.loads(out)["result"]) == (0, "true")
 
 
+@pytest.mark.parametrize("sid, factor, budget", [
+    ("poly(nat)", "(1+X)^1000", "1024 terms"),
+    ("laurent(nat)", "(X^-1+X)^600", "1024 terms"),
+    ("monoid(nat,Q)", "(1+X^(1/2))^520", "1024 terms"),
+    ("bool-poly", "(1+X)^600", "1024 terms"),
+    ("nat", 1 << 24, "33554432 bits"),  # an int k stands for 2^k
+    ("ideals-z", 1 << 24, "33554432 bits"),
+])
+def test_a_product_past_its_size_budget_is_refused_before_it_is_built(
+        monkeypatch, sid, factor, budget):
+    # each factor is inside the budget; their product's lower bound is not
+    from semival.grammar import parse_element
+    inst = get_instance(sid)
+    x = inst.element(1 << factor) if isinstance(factor, int) else parse_element(factor, inst)
+
+    def no_product(p, q):
+        raise AssertionError("multiplied")
+    monkeypatch.setattr(inst, "_mul", no_product)
+    with pytest.raises(ValueError, match=f"^{re.escape(sid)} product: the result would "
+                                         f"pass the budget of {budget}$"):
+        inst.mul(x, x)
+
+
+def test_products_inside_the_budget_or_that_reduce_are_built():
+    poly = get_instance("poly(nat)")
+    one_plus_x = poly.add(poly.one, poly.indeterminate())
+    low, high = poly.power(one_plus_x, 511), poly.power(one_plus_x, 512)
+    assert len(poly.mul(low, high).payload) == 1024  # the budget, exactly
+    nat = get_instance("nat")
+    big = nat.element(1 << (1 << 25))
+    assert nat.mul(big, nat.zero) == nat.zero  # zero, however large the other
+    # qnn and fraction products reduce, so they carry no bound
+    qnn = get_instance("qnn")
+    big = qnn.element(1 << (1 << 24))
+    assert qnn.mul(big, qnn.inv(big)) == qnn.one
+    frs = get_instance("fractions(nat)")
+    big = frs.element((1 << (1 << 24), 1))
+    assert frs.mul(big, frs.inv(big)) == frs.one
+
+
+def test_a_product_of_four_powers_exits_2_within_a_memory_limit():
+    # each factor has 1001 terms; unbudgeted, the product ran past 10 s
+    start = time.perf_counter()
+    out = cli_process(["valuate", "--semiring", "poly(nat)", "--valuation", "low-order",
+                       "(1+X)^1000*(1+X)^1000*(1+X)^1000*(1+X)^1000"],
+                      setup="import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                            "(3 << 29, 3 << 29)); ",  # 1.5 GB, on the child only
+                      timeout=10)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("error: poly(nat) product: the result would pass the "
+                          "budget of 1024 terms\n")
+    assert time.perf_counter() - start < 5
+
+
 def test_a_power_of_y_past_the_term_budget_is_refused_before_it_is_built():
     from semival.grammar import parse_content_polynomial
     nat = get_instance("nat")

@@ -1,6 +1,9 @@
+import pytest
+
 from semival.content import (
     content,
     content_pairs,
+    cp_add,
     cp_mul,
     dedekind_mertens_check,
     gaussian_check,
@@ -11,6 +14,7 @@ from semival.dvs import standard_dvs_structures
 from semival.ideals import ideal_member, ideal_product, ideal_subset
 from semival.instances import get_instance
 from semival.reports import SampleSpec
+from semival.semiring import InstanceMismatchError
 
 SPEC = SampleSpec(1, 300, 25)
 
@@ -28,11 +32,23 @@ def test_content_examples():
     assert stripped.degree() == 0
 
 
+def test_polynomials_over_different_instances_do_not_mix():
+    nat, qnn = get_instance("nat"), get_instance("qnn")
+    f = make_content_poly(nat, [nat.element(2)])
+    g = make_content_poly(qnn, [qnn.element(2)])
+    for op in (cp_add, cp_mul):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(InstanceMismatchError):
+                op(a, b)
+    with pytest.raises(InstanceMismatchError):
+        make_content_poly(nat, [qnn.one])
+
+
 def test_poly_multiplication_in_fresh_indeterminate():
     nat = get_instance("nat")
     f = make_content_poly(nat, [nat.element(2), nat.element(3)])
     ff = cp_mul(f, f)
-    assert [c.payload for c in ff.coeffs] == [4, 12, 9]
+    assert ff.coeffs == (4, 12, 9)
     assert str(f) == "(2) + (3)*Y"
 
 
@@ -73,7 +89,7 @@ def test_content_is_monotone_under_products():
     for f, g in content_pairs(nat, SampleSpec(2, 60, 20)):
         prod = ideal_product(content(f), content(g))
         for c in cp_mul(f, g).coeffs:
-            assert ideal_member(prod, c)
+            assert ideal_member(prod, nat.element(c))
 
 
 def test_gaussian_check_verdicts():

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from semival.dvs import (
+    DVSStructure,
     ascending_chain_probe,
     carrier_ideal,
     carrier_principal,
@@ -21,7 +22,7 @@ from semival.extended import ExtendedValue
 from semival.grammar import parse_element
 from semival.instances import get_instance
 from semival.reports import SampleSpec
-from semival.valuation import valuate
+from semival.valuation import Valuation, valuate
 
 SPEC = SampleSpec(1, 400, 20)
 fin = ExtendedValue
@@ -104,7 +105,7 @@ def test_generators_outside_the_carrier_are_refused(qnn5):
     for build in (lambda: carrier_ideal(qnn5, [qnn.element(5), fifth]),
                   lambda: carrier_principal(qnn5, fifth),
                   lambda: make_ideal(qnn, [fifth], dvs=qnn5),
-                  lambda: FinGenIdeal(qnn, (qnn.one, fifth), qnn5)):
+                  lambda: FinGenIdeal(qnn, (Fraction(1), Fraction(1, 5)), qnn5)):
         with pytest.raises(ValueError, match="^1/5 lies outside the carrier$"):
             build()
 
@@ -251,8 +252,26 @@ def test_integral_check_off_the_subtractive_carrier(structures):
     report = integral_check(D, parse_element("1/(1+X)", amb), 2, pool)
     assert not report.holds and report.detail == "degree 1 witness"
     assert report.witness[1] == amb.one  # 1/(1+X) + X/(1+X) = 1
+    # the sum as _add builds it, unreduced: no canonical form to compare by
+    assert str(report.witness[1]) == "(1 + 2*X + X^2)/(1 + 2*X + X^2)"
     report = integral_check(D, parse_element("1/X", amb), 2, pool)
     assert report.holds and report.detail == "no witness up to degree 2"
+
+
+def test_integral_check_on_a_canonical_ambient_finds_the_first_witness(qnn5):
+    # v = -v5 on qnn: 5 lies outside its carrier and is integral over it, so
+    # the search meets a witness, by set lookup since qnn payloads are canonical
+    qnn = get_instance("qnn")
+    raw = qnn5.valuation.payload_fn
+    anti = DVSStructure("anti-5-adic", Valuation(
+        "anti-vp:5", qnn, "Z", lambda p: None if p == 0 else -raw(p),
+        payload_unit=qnn5.valuation.payload_unit,
+        element_with_value=lambda m: qnn.element(Fraction(1, 5 ** m))))
+    assert qnn.structural_eq and not anti.contains(qnn.element(5))
+    for pool, witness, degree in (((0, 1, 6), "6", 1), ((2, 6, Fraction(1, 5)), "32", 2)):
+        report = integral_check(anti, qnn.element(5), 3, [qnn.element(c) for c in pool])
+        assert not report.holds and report.detail == f"degree {degree} witness"
+        assert (str(report.witness[0]), str(report.witness[1])) == ("5", witness)
 
 
 def test_value_group_valuation_agrees(qnn5):

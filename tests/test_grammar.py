@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -118,18 +119,34 @@ def test_division_requires_capability():
     assert parse_element("(1+2)/(2)", qnn).payload == Fraction(3, 2)
 
 
+def test_powers_of_content_polynomials_square_and_multiply():
+    from semival.content import cp_mul
+    nat = get_instance("nat")
+    for n in (0, 1, 2, 7, 40, 1023):
+        assert parse_content_polynomial(f"(1+Y)^{n}", nat).coeffs == \
+            tuple(math.comb(n, k) for k in range(n + 1))
+    # the same coefficient payloads as n successive products
+    for sid, base in (("nat", "2 + 3*Y"), ("nat", "Y"), ("nat", "0*Y"),
+                      ("poly(nat)", "X + (1+X)*Y^2"), ("poly(nat)", "(1+X)*Y")):
+        inst = get_instance(sid)
+        f = parse_content_polynomial(base, inst)
+        power = parse_content_polynomial("1", inst)
+        for n in range(41):
+            assert parse_content_polynomial(f"({base})^{n}", inst) == power, (base, n)
+            power = cp_mul(power, f)
+
+
 def test_content_polynomial_parsing():
     nat = get_instance("nat")
     f = parse_content_polynomial("2 + 3*Y", nat)
-    assert [c.payload for c in f.coeffs] == [2, 3]
+    assert f.coeffs == (2, 3)
     g = parse_content_polynomial("(1 + Y)^2", nat)
-    assert [c.payload for c in g.coeffs] == [1, 2, 1]
+    assert g.coeffs == (1, 2, 1)
     h = parse_content_polynomial("5", nat)
     assert h.degree() == 0
     poly = get_instance("poly(nat)")
     mixed = parse_content_polynomial("3*X^2 + X*Y", poly)
-    assert mixed.coeffs[0].payload == ((2, 3),)
-    assert mixed.coeffs[1].payload == ((1, 1),)
+    assert mixed.coeffs == (((2, 3),), ((1, 1),))
     with pytest.raises(ValueError):
         parse_content_polynomial("Y^-1", nat)
 

@@ -9,10 +9,17 @@ details must come out equal on every carrier with an ideal rule.
 
 import math
 import random
+from itertools import zip_longest
 
 import pytest
 
-from semival.content import content, dedekind_mertens_sides, make_content_poly
+from semival.content import (
+    content,
+    cp_add,
+    cp_mul,
+    dedekind_mertens_sides,
+    make_content_poly,
+)
 from semival.dvs import standard_dvs_structures
 from semival.ideals import (
     _bool_poly_oracle,
@@ -156,17 +163,50 @@ def test_payload_operations_match_the_element_definitions(name):
     assert verdicts in ({True, False}, set())
 
 
+def ref_poly(coeffs):
+    """The element coefficients with trailing zeros stripped."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def ref_text(coeffs):
+    terms = [f"({c})" + ("" if k == 0 else "*Y" if k == 1 else f"*Y^{k}")
+             for k, c in enumerate(coeffs) if not c.is_zero()]
+    return " + ".join(terms) or "0"
+
+
+def _elements(inst, f):
+    assert not any(isinstance(c, Element) for c in f.coeffs)
+    return [Element(inst, c) for c in f.coeffs]
+
+
 @pytest.mark.parametrize("name", PLAIN + DVS)
 def test_content_matches_the_element_definition(name):
     inst, D, pool = _carrier(name)
     rng = random.Random(f"payload-content:{name}")
+    polys = []
     for _ in range(12):
         coeffs = [rng.choice(pool + [inst.zero]) for _ in range(rng.randint(0, 4))]
-        f = make_content_poly(inst, coeffs)
-        nonzero = [c for c in f.coeffs if not c.is_zero()] or [inst.zero]
+        f, ref = make_content_poly(inst, coeffs), ref_poly(coeffs)
+        assert _elements(inst, f) == ref
+        assert str(f) == ref_text(ref)
+        nonzero = [c for c in ref if not c.is_zero()] or [inst.zero]
         C = content(f, D)
         assert list(C.payloads) == _payloads(ref_reduce(inst, nonzero, D))
         assert all(isinstance(g, Element) and g.semiring is inst for g in C.generators)
+        polys.append((f, ref))
+    # sums and products against coefficientwise element arithmetic
+    for (f, rf), (g, rg) in zip(polys, polys[1:] + polys[:1]):
+        total = [inst.add(a, b) for a, b in zip_longest(rf, rg, fillvalue=inst.zero)]
+        assert _elements(inst, cp_add(f, g)) == ref_poly(total)
+        prod = [inst.zero] * max(len(rf) + len(rg) - 1, 0)
+        for i, a in enumerate(rf):
+            for j, b in enumerate(rg):
+                prod[i + j] = inst.add(prod[i + j], inst.mul(a, b))
+        assert _elements(inst, cp_mul(f, g)) == ref_poly(prod)
+        assert str(cp_mul(f, g)) == ref_text(ref_poly(prod))
 
 
 def test_dedekind_mertens_left_side_is_the_power_times_one_more_factor():

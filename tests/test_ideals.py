@@ -443,15 +443,23 @@ def test_ideals_z_sum_normalises_by_gcd():
 
 
 def test_directly_built_ideal_is_reduced():
-    # the rule runs on construction, not only in make_ideal
+    # make_ideal hands the payloads to the constructor, which runs the rule
     idz = get_instance("ideals-z")
-    I = FinGenIdeal(idz, (idz.element(4), idz.element(6)))
+    I = make_ideal(idz, (idz.element(4), idz.element(6)))
     assert [g.payload for g in I.generators] == [2]
     assert I.contains(idz.element(2))
     assert not I.contains(idz.element(3))
     nat = get_instance("nat")
-    J = FinGenIdeal(nat, (nat.element(6), nat.zero, nat.element(4), nat.element(8)))
+    J = make_ideal(nat, (nat.element(6), nat.zero, nat.element(4), nat.element(8)))
     assert [g.payload for g in J.generators] == [4, 6]
+
+
+def test_an_ideal_needs_a_generator():
+    for sid in ("nat", "qnn", "poly(nat)"):
+        with pytest.raises(ValueError, match="^an ideal needs at least one generator$"):
+            FinGenIdeal(get_instance(sid), ())
+        with pytest.raises(ValueError, match="^an ideal needs at least one generator$"):
+            make_ideal(get_instance(sid), [])
 
 
 def test_ideals_z_two_generators_collapse_to_their_sum():
@@ -660,7 +668,7 @@ def test_semifield_ideals_are_trivial():
 
 def test_no_oracle_instance_raises():
     poly = get_instance("poly(nat)")
-    I = FinGenIdeal(poly, (poly.indeterminate(),))
+    I = make_ideal(poly, (poly.indeterminate(),))
     from semival.semiring import UnsupportedOperationError
     with pytest.raises(UnsupportedOperationError):
         ideal_member(I, poly.one)
