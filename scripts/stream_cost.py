@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time sample-stream generation and the payload arithmetic on what it
 draws: microseconds per payload of ``stream`` on every registered instance,
-and of the carrier stream (``stream`` kept by ``DVSStructure.in_carrier``,
-the draw under ``sample_carrier``) on each of the four standard discrete
-valuation structures, at SampleSpec(1, 1000, 50); then microseconds per
+on the four fractions over a semifield that the extension-axioms checks
+draw from, and of the carrier stream (``stream`` kept by
+``DVSStructure.in_carrier``, the draw under ``sample_carrier``) on each of
+the four standard discrete valuation structures, at SampleSpec(1, 1000,
+50); then microseconds per
 payload ``_add``, ``_mul`` and ``_eq`` over the stream's consecutive pairs
 (on the ambient instance for a carrier). Every figure is the best of three
 runs.
@@ -23,6 +25,9 @@ from semival.reports import SampleSpec
 from semival.sampling import stream
 
 SPEC = SampleSpec(1, 1000, 50)
+# the sources of the extension-axioms checks on semifield sources
+EXTENSION_SOURCES = ("fractions(qnn)", "fractions(tropical-int)",
+                     "fractions(fractions(poly(nat)))", "fractions(fractions(ideals-z))")
 RUNS = 3
 
 
@@ -47,7 +52,7 @@ def best_us_per_op(op, pairs) -> float:
 
 def main() -> None:
     rows = [(sid, partial(stream, get_instance(sid)), get_instance(sid))
-            for sid in ALL_REGISTERED_IDS]
+            for sid in ALL_REGISTERED_IDS + EXTENSION_SOURCES]
     rows += [(f"carrier: {D.name}", partial(stream, D.ambient, keep=D.in_carrier),
               D.ambient) for D in standard_dvs_structures()]
     print(f"== stream cost (seed={SPEC.seed}, count={SPEC.count}, "

@@ -292,6 +292,27 @@ class IdealsZSemiring(NatSemiring):
         return (0, 1, 2, 5, 6)
 
 
+# Fraction(k, L) for the result keys of _on_scaled_exponents: a hit costs a
+# sixth of a construction, and equal keys share one object, which tuple ==
+# then compares by identity
+_scaled_fraction = functools.lru_cache(maxsize=1 << 10)(Fraction)
+
+
+def _on_scaled_exponents(op):
+    """op on payloads with Fraction exponents, run on integers: each n/d
+    becomes n*(L/d) for L the lcm of both operands' denominators, and each
+    result key k becomes Fraction(k, L) once.  Scaling by L > 0 keeps sums
+    and order, and spares the loop a Fraction sum and hash per term."""
+    def scaled(p, q):
+        if not (p and q):
+            return op(p, q)
+        lcm = math.lcm(*[e.denominator for e, _ in p + q])
+        r = op([(e.numerator * (lcm // e.denominator), c) for e, c in p],
+               [(e.numerator * (lcm // e.denominator), c) for e, c in q])
+        return tuple([(_scaled_fraction(k, lcm), c) for k, c in r])
+    return scaled
+
+
 class MonoidSemiring(Semiring):
     """Finite-support exponent->coefficient maps over a base instance.
 
@@ -315,6 +336,9 @@ class MonoidSemiring(Semiring):
         self.mc = base.mc and base.additively_cancellative
         self.entire, self.zerosumfree = base.entire, base.zerosumfree
         self._bzero = base._zero()
+        if monoid.name == "Q":
+            self._add = _on_scaled_exponents(self._add)
+            self._mul = _on_scaled_exponents(self._mul)
 
     def _zero(self):
         return ()
@@ -499,7 +523,10 @@ class FractionSemiring(Semiring):
         self.sid = f"fractions({base.sid})"
         self.zerosumfree = base.zerosumfree
         self._bsemifield = base.semifield
-        self.structural_eq = base.payload_gcd is not None or self._bsemifield
+        # _reduce makes pairs canonical by a gcd, or by d = 1 over a semifield,
+        # and only from parts that are canonical themselves
+        self.structural_eq = base.structural_eq and (
+            base.payload_gcd is not None or self._bsemifield)
         self._bzero = base._zero()
         self._bone = base._one()
 
@@ -529,6 +556,12 @@ class FractionSemiring(Semiring):
                 den //= g
         return (num, den)
 
+    # _reduce returns every zero fraction as (bzero, bone), and every fraction
+    # over a semifield base as (x, bone) with this very bone.  So a numerator
+    # that == bzero settles eq, add and mul at once, and x/bone and y/bone
+    # add and multiply to (x+y)/bone and (x*y)/bone with no product by one.
+    # A pair that is neither takes the general path, which gives the same.
+
     def _eq(self, p, q):
         # identical pairs are equal fractions; only distinct pairs over a
         # carrier without canonical forms need cross multiplication
@@ -536,17 +569,33 @@ class FractionSemiring(Semiring):
             return True
         if self.structural_eq:
             return False
-        return self.base._eq(self.base._mul(p[0], q[1]), self.base._mul(q[0], p[1]))
+        base, bzero = self.base, self._bzero
+        if p[0] == bzero or q[0] == bzero:
+            return base._eq(p[0], q[0])
+        return base._eq(base._mul(p[0], q[1]), base._mul(q[0], p[1]))
 
     def _add(self, p, q):
-        n1, d1 = p
-        n2, d2 = q
-        bmul = self.base._mul
-        return self._reduce(self.base._add(bmul(n1, d2), bmul(n2, d1)), bmul(d1, d2))
+        (n1, d1), (n2, d2) = p, q
+        base, bzero, bone = self.base, self._bzero, self._bone
+        if d1 is bone and d2 is bone:
+            n = base._add(n1, n2)
+            return (bzero, bone) if base._eq(n, bzero) else (n, bone)
+        if n1 == bzero:
+            return self._reduce(n2, d2)
+        if n2 == bzero:
+            return self._reduce(n1, d1)
+        bmul = base._mul
+        return self._reduce(base._add(bmul(n1, d2), bmul(n2, d1)), bmul(d1, d2))
 
     def _mul(self, p, q):
-        bmul = self.base._mul
-        return self._reduce(bmul(p[0], q[0]), bmul(p[1], q[1]))
+        (n1, d1), (n2, d2) = p, q
+        base, bzero, bone = self.base, self._bzero, self._bone
+        if d1 is bone and d2 is bone:
+            n = base._mul(n1, n2)
+            return (bzero, bone) if base._eq(n, bzero) else (n, bone)
+        if n1 == bzero or n2 == bzero:
+            return (bzero, bone)
+        return self._reduce(base._mul(n1, n2), base._mul(d1, d2))
 
     def _is_unit(self, p):
         return not self.base._eq(p[0], self._bzero)

@@ -221,7 +221,10 @@ def _is_prime(p: int) -> bool:
 def _padic_exponent(n: int, p: int) -> int:
     """Exponent of p in n > 0.  Divides out p, p^2, p^4, ... while each
     divides and starts again from p when one does not, so the number of
-    divisions grows with the squared logarithm of the exponent."""
+    divisions grows with the squared logarithm of the exponent.  The
+    exponent of 2 is the count of trailing zero bits."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     e, pk, step = 0, p, 1
     while n % p == 0:
         q, r = divmod(n, pk)

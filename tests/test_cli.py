@@ -271,6 +271,19 @@ def test_check_axioms_with_and_without_valuation(capsys):
     assert code == 0
 
 
+def test_check_axioms_on_fractions_of_a_semifield_without_canonical_forms(capsys):
+    # equal pairs X/1 and X^2/X once made a*(b+c) != a*b+a*c look refuted
+    code, out, err = run(capsys, "check", "--semiring", "fractions(fractions(poly(nat)))",
+                         "--property", "axioms", "--samples", "3000")
+    assert (code, err) == (0, "")
+    assert out == ("semiring-axioms[fractions(fractions(poly(nat)))]: holds "
+                   "[seed=1 samples=3000 size=50]\n")
+    code, out, err = run(capsys, "check", "--semiring",
+                         "poly(fractions(fractions(poly(nat))))", "--property", "axioms")
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient base must have structural equality\n"
+
+
 def test_check_mc_and_entire(capsys):
     code, _, _ = run(capsys, "check", "--semiring", "fuzzy", "--property",
                      "mc", "--samples", "400")
@@ -525,6 +538,22 @@ def test_a_product_of_four_powers_exits_2_within_a_memory_limit():
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == ("error: poly(nat) product: the result would pass the "
                           "budget of 1024 terms\n")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("sid, text, value", [("nat", "2^30000000", "30000000"),
+                                              ("qnn", "3/2^30000000", "-30000000")])
+def test_vp2_of_a_power_inside_the_bit_budget_answers_within_a_memory_limit(
+        sid, text, value):
+    # 2^30000000 has 30 M bits, inside the budget; dividing out 2, 4, 16, ...
+    # took 0.86 s at 1 M bits and did not finish in 25 s, where counting the
+    # trailing zero bits answers in about 0.3 s
+    start = time.perf_counter()
+    out = cli_process(["valuate", "--semiring", sid, "--valuation", "vp:2", text],
+                      setup="import resource; resource.setrlimit(resource.RLIMIT_AS, "
+                            "(3 << 29, 3 << 29)); ",  # 1.5 GB, on the child only
+                      timeout=10)
+    assert (out.returncode, out.stdout, out.stderr) == (0, value + "\n", "")
     assert time.perf_counter() - start < 5
 
 

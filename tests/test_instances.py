@@ -233,6 +233,26 @@ def test_fraction_cross_multiplication_equality():
         fpn.fraction(x, poly.zero)
 
 
+def test_fractions_over_a_semifield_without_canonical_forms_cross_multiply():
+    # fractions(poly(nat)) is a semifield whose pairs are not canonical, so
+    # its own fractions, reduced to d = 1, are not canonical either
+    ffp = get_instance("fractions(fractions(poly(nat)))")
+    fpn = ffp.base
+    poly = fpn.base
+    x = poly.indeterminate()
+    over_one = ffp.fraction(fpn.fraction(x, poly.one), fpn.one)
+    over_x = ffp.fraction(fpn.fraction(poly.mul(x, x), x), fpn.one)
+    assert over_one.payload != over_x.payload
+    assert over_one == over_x and not over_one != over_x
+    assert not ffp.structural_eq and fpn.semifield
+    assert ffp.add(over_one, ffp.zero) == over_x
+    assert ffp.mul(over_x, ffp.one) == over_one
+    assert get_instance("fractions(fractions(ideals-z))").structural_eq
+    # a monoid base must have structural equality
+    with pytest.raises(ValueError, match="structural equality"):
+        get_instance("poly(fractions(fractions(poly(nat))))")
+
+
 def test_element_inequality_inverts_equality():
     nat, qnn = get_instance("nat"), get_instance("qnn")
     assert nat.element(2) != nat.element(3)

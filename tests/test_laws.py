@@ -1,8 +1,9 @@
+import operator
 from itertools import product
 
 import pytest
 
-from semival.instances import NatSemiring, get_instance
+from semival.instances import NatSemiring, _uniform, get_instance
 from semival.laws import check_semiring_axioms, probe_mc_entire
 from semival.reports import SampleSpec
 
@@ -57,9 +58,19 @@ def test_bool_poly_is_not_cancellative():
     assert entire.holds
 
 
-# Broken variants of nat.  The law loops run on payloads, so these check that
-# they still refute, and that each witness re-verifies through the
-# element-level add/mul/eq of the same instance.
+# Broken variants of nat, one for each branch of check_semiring_axioms: each
+# passes every branch checked before its own on every triple drawn before
+# the first that fails.  The law loops run on payloads, so these check that
+# they still refute, with a witness of the branch's arity that re-verifies
+# through the element-level add/mul/eq of the same instance.
+
+class _NonCommutativeAdd(NatSemiring):
+    sid = "nat-noncomm-add"
+
+    def _add(self, p, q):
+        # associative on the triples before (0, 1, 0), where 0+1 = 1, 1+0 = 2
+        return p + q + (p > q)
+
 
 class _NonAssociativeAdd(NatSemiring):
     sid = "nat-nonassoc-add"
@@ -67,14 +78,6 @@ class _NonAssociativeAdd(NatSemiring):
     def _add(self, p, q):
         # commutative with identity 0, but (2+2)+3 = 8 and 2+(2+3) = 7
         return p + q + (p >= 3 and q >= 3)
-
-
-class _NonAssociativeMul(NatSemiring):
-    sid = "nat-nonassoc-mul"
-
-    def _mul(self, p, q):
-        # commutative, unital and absorbing, but (2*2)*3 = 13 and 2*(2*3) = 12
-        return p * q + (p >= 3 and q >= 3)
 
 
 class _AddWithoutZero(NatSemiring):
@@ -85,19 +88,75 @@ class _AddWithoutZero(NatSemiring):
         return p + q + 1
 
 
-class _ZeroDivisors(NatSemiring):
-    sid = "nat-mod6"
+class _NonCommutativeMul(NatSemiring):
+    sid = "nat-noncomm-mul"
 
     def _mul(self, p, q):
-        return p * q % 6
+        # 0*1 = 0 but 1*0 = 1
+        return p * q + (p > q)
+
+
+class _NonAssociativeMul(NatSemiring):
+    sid = "nat-nonassoc-mul"
+
+    def _mul(self, p, q):
+        # commutative, unital and absorbing, but (2*2)*3 = 13 and 2*(2*3) = 12
+        return p * q + (p >= 3 and q >= 3)
+
+
+class _MulWithoutOne(NatSemiring):
+    sid = "nat-doubled-mul"
+
+    def _mul(self, p, q):
+        # commutative and associative, but a*1 = 2a
+        return 2 * p * q
+
+
+class _OrAdd(NatSemiring):
+    sid = "nat-or-add"
+
+    # bitwise or is a commutative monoid with identity 0, but 3*(1|2) = 9
+    # and 3*1 | 3*2 = 7
+    _add = staticmethod(operator.or_)
+
+
+class _XnorMul(NatSemiring):
+    """0 and 1 under or and xnor: both commutative monoids, and distributive
+    at (0, 0, 0), where 0*0 = 1."""
+
+    sid = "bool-xnor"
+    _add = staticmethod(operator.or_)
+
+    def _mul(self, p, q):
+        return int(p == q)
+
+    def _sampler(self, rng, bound):
+        return _uniform(rng, 0, 1)
+
+    def _preamble(self):
+        return (0, 1)
+
+
+class _OneIsZero(NatSemiring):
+    sid = "nat-one-is-zero"
+
+    def _one(self):
+        return 0
 
 
 @pytest.mark.parametrize("broken, detail, refuted", [
+    (_NonCommutativeAdd, "a+b != b+a", lambda s, a, b: not s.eq(s.add(a, b), s.add(b, a))),
     (_NonAssociativeAdd, "(a+b)+c != a+(b+c)",
      lambda s, a, b, c: not s.eq(s.add(s.add(a, b), c), s.add(a, s.add(b, c)))),
+    (_AddWithoutZero, "a+0 != a", lambda s, a: not s.eq(s.add(a, s.zero), a)),
+    (_NonCommutativeMul, "a*b != b*a", lambda s, a, b: not s.eq(s.mul(a, b), s.mul(b, a))),
     (_NonAssociativeMul, "(a*b)*c != a*(b*c)",
      lambda s, a, b, c: not s.eq(s.mul(s.mul(a, b), c), s.mul(a, s.mul(b, c)))),
-    (_AddWithoutZero, "a+0 != a", lambda s, a: not s.eq(s.add(a, s.zero), a)),
+    (_MulWithoutOne, "a*1 != a", lambda s, a: not s.eq(s.mul(a, s.one), a)),
+    (_OrAdd, "a*(b+c) != a*b+a*c",
+     lambda s, a, b, c: not s.eq(s.mul(a, s.add(b, c)), s.add(s.mul(a, b), s.mul(a, c)))),
+    (_XnorMul, "a*0 != 0", lambda s, a: not s.eq(s.mul(a, s.zero), s.zero)),
+    (_OneIsZero, "1 = 0", lambda s, z, u: s.eq(z, u)),
 ])
 def test_axioms_refute_broken_operations(broken, detail, refuted):
     inst = broken()
@@ -105,7 +164,16 @@ def test_axioms_refute_broken_operations(broken, detail, refuted):
     assert not report.holds
     assert report.detail == detail
     assert all(x.semiring is inst for x in report.witness)
+    # the witness has the arity of its branch, and fails that branch again
+    assert len(report.witness) == refuted.__code__.co_argcount - 1
     assert refuted(inst, *report.witness)
+
+
+class _ZeroDivisors(NatSemiring):
+    sid = "nat-mod6"
+
+    def _mul(self, p, q):
+        return p * q % 6
 
 
 def test_probes_refute_a_multiplication_with_zero_divisors():

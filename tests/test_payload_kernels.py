@@ -114,7 +114,11 @@ MONOID_IDS = [sid for sid in ALL_REGISTERED_IDS
 FRACTION_IDS = [sid for sid in ALL_REGISTERED_IDS
                 if isinstance(get_instance(sid), FractionSemiring)]
 OFF_CATALOGUE = ["poly(qnn)", "laurent(tropical-int)", "monoid(fuzzy,Q)",
-                 "fractions(laurent(nat))"]
+                 "monoid(ideals-z,Q)", "fractions(laurent(nat))", "fractions(qnn)",
+                 "fractions(tropical-int)", "fractions(fractions(poly(nat)))",
+                 "fractions(fractions(ideals-z))"]
+ALL_FRACTION_IDS = FRACTION_IDS + [sid for sid in OFF_CATALOGUE
+                                   if sid.startswith("fractions(")]
 KERNEL_IDS = MONOID_IDS + FRACTION_IDS + OFF_CATALOGUE
 
 
@@ -131,6 +135,9 @@ def test_the_kernels_cover_every_polynomial_and_fraction_id():
     assert set(FRACTION_IDS) == {"fractions(nat)", "fractions(poly(nat))",
                                  "fractions(ideals-z)"}
     assert not get_instance("fractions(laurent(nat))").structural_eq
+    assert set(COPYABLE_ONE_IDS) == {
+        "fractions(poly(nat))", "fractions(laurent(nat))", "fractions(qnn)",
+        "fractions(fractions(poly(nat)))", "fractions(fractions(ideals-z))"}
 
 
 @pytest.mark.parametrize("sid", KERNEL_IDS)
@@ -148,7 +155,7 @@ def test_add_mul_eq_agree_with_the_reference(sid, seed, size_bound):
         assert inst._eq(p, p)
 
 
-@pytest.mark.parametrize("sid", FRACTION_IDS + ["fractions(laurent(nat))"])
+@pytest.mark.parametrize("sid", ALL_FRACTION_IDS)
 def test_fraction_eq_on_distinct_equal_pairs(sid):
     # n/d and nk/dk are the same fraction; over a carrier without canonical
     # forms they are distinct pairs, and only cross multiplication sees it
@@ -177,7 +184,8 @@ def _monoid_payload(inst):
     return st.lists(st.tuples(exponent, coefficient), max_size=5).map(inst._canon)
 
 
-@pytest.mark.parametrize("sid", MONOID_IDS + ["poly(qnn)", "monoid(fuzzy,Q)"])
+@pytest.mark.parametrize("sid", MONOID_IDS + ["poly(qnn)", "monoid(fuzzy,Q)",
+                                              "monoid(ideals-z,Q)"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_monoid_kernels_on_arbitrary_payloads(sid, data):
@@ -188,6 +196,85 @@ def test_monoid_kernels_on_arbitrary_payloads(sid, data):
     assert inst._add(p, q) == ref.add(p, q)
     assert inst._mul(p, q) == ref.mul(p, q)
     assert inst._mul(p, q) == inst._mul(q, p)
+
+
+@pytest.mark.parametrize("sid", ALL_FRACTION_IDS)
+def test_zero_operands_agree_with_the_reference(sid):
+    # the instance's zero, and a zero pair built of fresh base objects
+    inst = get_instance(sid)
+    ref = Reference(inst)
+    zeros = [inst._zero(), (inst.base._zero(), inst.base._one())]
+    ps = _payloads(inst, 5, 8, count=60) + zeros
+    for z in zeros:
+        for p in ps:
+            for a, b in ((z, p), (p, z)):
+                assert inst._add(a, b) == ref.add(a, b), (a, b)
+                assert inst._mul(a, b) == ref.mul(a, b) == inst._zero(), (a, b)
+                assert inst._eq(a, b) == ref.eq(a, b), (a, b)
+    # a zero over another denominator is a distinct pair: equal to zero by
+    # cross multiplication only
+    for d in ps[2:30]:
+        z = (inst.base._zero(), d[1])
+        for p in ps:
+            assert inst._eq(z, p) == inst._eq(p, z) == ref.eq(z, p), (z, p)
+
+
+def _equal_copy(x):
+    """An object == x that is not x, where one can be built: a new tuple or
+    Fraction.  Small ints are shared objects, so they have no such copy."""
+    if isinstance(x, tuple) and x:
+        return tuple(list(x))
+    if isinstance(x, Fraction):
+        return Fraction(x.numerator, x.denominator)
+    return None
+
+
+# the ids whose base one has an equal copy: all but those over nat,
+# ideals-z and tropical-int
+COPYABLE_ONE_IDS = [sid for sid in ALL_FRACTION_IDS
+                    if _equal_copy(get_instance(sid)._one()[1]) is not None]
+
+
+@pytest.mark.parametrize("sid", COPYABLE_ONE_IDS)
+def test_a_denominator_equal_to_one_but_not_the_instance_one(sid):
+    # x/bone pairs add and multiply without a product by one only when bone
+    # is the instance's own object; an equal copy takes the general path
+    inst = get_instance(sid)
+    ref = Reference(inst)
+    bone = inst._one()[1]
+    copy = _equal_copy(bone)
+    assert copy == bone and copy is not bone
+    ps = _payloads(inst, 11, 8, count=60)
+    copies = [(n, copy) for n, d in ps if d == bone]
+    assert len(copies) > 20
+    for p2 in copies:
+        p = (p2[0], bone)
+        for q in ps:
+            for a, b, a2, b2 in ((p, q, p2, q), (q, p, q, p2)):
+                assert inst._add(a2, b2) == inst._add(a, b) == ref.add(a2, b2), (a2, b2)
+                assert inst._mul(a2, b2) == inst._mul(a, b) == ref.mul(a2, b2), (a2, b2)
+                assert inst._eq(a2, b2) == inst._eq(a, b) == ref.eq(a2, b2), (a2, b2)
+
+
+@pytest.mark.parametrize("sid", ["monoid(nat,Q)", "monoid(fuzzy,Q)", "monoid(ideals-z,Q)"])
+def test_rational_exponents_stay_fractions(sid):
+    inst = get_instance(sid)
+    ref = Reference(inst)
+    c = inst.base._one()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # integral sums and products of rational exponents, and integral operands
+    cases = [(((half, c),), ((half, c),)),
+             (((Fraction(-2, 3), c), (third, c)), ((third, c), (Fraction(2, 3), c))),
+             (((Fraction(1), c),), ((Fraction(2), c), (Fraction(5), c))),
+             (((Fraction(-1), c), (Fraction(1), c)), ((Fraction(0), c),))]
+    cases += list(zip(_payloads(inst, 1, 50), _payloads(inst, 2, 50)))
+    for p, q in cases:
+        for r, expected in ((inst._add(p, q), ref.add(p, q)),
+                            (inst._mul(p, q), ref.mul(p, q))):
+            assert r == expected, (p, q)
+            assert all(type(e) is Fraction for e, _ in r), r
+            assert [e for e, _ in r] == sorted(e for e, _ in r)
+    assert inst._mul(((half, c),), ((half, c),)) == ((Fraction(1), c),)
 
 
 def _generic_nonzero(inst, rng, bound):

@@ -60,6 +60,8 @@ def test_stream_cost_lists_every_stream():
     assert lines[1].split() == ["stream", "us/element", "us/_add", "us/_mul", "us/_eq"]
     rows = {line[:36].strip(): line[36:].split() for line in lines[3:]}
     labels = list(ALL_REGISTERED_IDS)
+    labels += ["fractions(qnn)", "fractions(tropical-int)",
+               "fractions(fractions(poly(nat)))", "fractions(fractions(ideals-z))"]
     labels += [f"carrier: {D.name}" for D in standard_dvs_structures()]
     assert list(rows) == labels
     for figures in rows.values():

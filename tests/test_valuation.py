@@ -388,6 +388,14 @@ def test_padic_exponent_agrees_with_repeated_division():
         assert _padic_exponent(n, p) == _naive_padic_exponent(n, p), (n, p)
 
 
+def test_padic_exponent_of_two_counts_trailing_zero_bits_as_division_does():
+    rng = random.Random(2)
+    ns = list(range(1, 4097)) + [2 ** rng.randint(0, 300) * rng.randrange(1, 10**40)
+                                 for _ in range(2000)]
+    for n in ns:
+        assert _padic_exponent(n, 2) == _naive_padic_exponent(n, 2), n
+
+
 def test_padic_exponent_of_a_high_power_is_fast():
     n = 5**100000
     t0 = time.perf_counter()
