@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .extended import ExtendedValue, _nonnegative, _raw_lt
 from .instances import get_instance
@@ -16,7 +16,7 @@ from .semiring import Element, Semiring
 from .valuation import Valuation, get_valuation, valuate
 
 # normal forms and division need neither .ideals nor .sampling: a structure
-# imports .ideals once, on its first ideal, and sample_carrier .sampling
+# imports .ideals once, on its first ideal, and carrier_payloads .sampling
 if TYPE_CHECKING:
     from .ideals import FinGenIdeal
 
@@ -67,14 +67,21 @@ class DVSStructure:
         """The carrier test on payloads, which sampled carrier streams keep by."""
         return _nonnegative(self.valuation.payload_fn(p))
 
-    def sample_carrier(self, spec: SampleSpec, salt: str = "",
-                       nonzero: bool = False) -> list[Element]:
-        from .sampling import stream
+    def carrier_payloads(self, spec: SampleSpec, salt: str, nonzero: bool) -> Iterator:
+        """The sampled carrier stream, as payloads drawn lazily."""
+        from .sampling import iter_stream
 
         amb, in_carrier = self.ambient, self.in_carrier
         eq, zero = amb._eq, amb._zero()
         keep = (lambda p: not eq(p, zero) and in_carrier(p)) if nonzero else in_carrier
-        return [Element(amb, p) for p in stream(amb, spec, salt=salt, keep=keep)]
+        return iter_stream(amb, spec, salt, keep)
+
+    def sample_carrier(self, spec: SampleSpec, salt: str = "",
+                       nonzero: bool = False) -> list[Element]:
+        """The sampled carrier stream as a list of elements, for callers that
+        slice it or iterate it more than once."""
+        amb = self.ambient
+        return [Element(amb, p) for p in self.carrier_payloads(spec, salt, nonzero)]
 
     # -- payload helpers under the element-level operations --------------------
 

@@ -4,15 +4,17 @@ Streams are keyed by (seed, instance id, salt, size bound); identical
 specs yield identical streams.  Each stream starts with the instance's
 fixed preamble so known witnesses are always visited first, then continues
 with pseudo-random canonical payloads from one sampler of the instance,
-built once per stream.  No stream is retained: a repeated spec draws its
-stream again.
+built once per stream.  Every stream is drawn by one lazy iterator,
+``iter_stream``: a sampled check pulls each payload as it tests it, so it
+holds O(1) samples whatever the count.  No stream is retained: a repeated
+spec draws its stream again.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product, repeat, starmap
 from typing import Callable, Iterable, Iterator
 
 from .reports import LawReport, SampleSpec, law_counterexample, law_holds
@@ -24,41 +26,44 @@ def _rng(spec: SampleSpec, sid: str, salt: str) -> random.Random:
     return random.Random(f"{spec.seed}:{sid}:{salt}:{spec.size_bound}")
 
 
+def iter_stream(instance: Semiring, spec: SampleSpec, salt: str,
+                keep: Callable[[object], bool] | None) -> Iterator:
+    """The payloads of stream(), drawn one at a time as they are asked for.
+    Built of itertools alone, so no Python frame runs per payload beyond
+    the sampler's and keep's own."""
+    draw = instance._sampler(_rng(spec, instance.sid, salt), spec.size_bound)
+    # filtered generation stops at a fixed cap of draws, which an unfiltered
+    # stream never reaches
+    pre, draws = instance.preamble, starmap(draw, repeat((), 40 * spec.count + 200))
+    if keep is not None:
+        pre, draws = filter(keep, pre), filter(keep, draws)
+    head = list(islice(pre, spec.count))
+    return chain(head, islice(draws, spec.count - len(head)))
+
+
 # No stream is kept: maxsize=0 makes this a plain call that still counts its
 # calls in cache_info(), which the benchmark reads under this name.
 @lru_cache(maxsize=0)
 def _cached_stream(instance: Semiring, seed: int, count: int, size_bound: int,
                    salt: str, keep: Callable[[object], bool] | None) -> list:
-    spec = SampleSpec(seed, count, size_bound)
-    draw = instance._sampler(_rng(spec, instance.sid, salt), size_bound)
-    # filtered generation stops at a fixed cap of draws, which an unfiltered
-    # stream never reaches
-    pre, draws = instance.preamble, (draw() for _ in range(40 * count + 200))
-    if keep is not None:
-        pre, draws = filter(keep, pre), filter(keep, draws)
-    out = list(pre)[:count]
-    out.extend(islice(draws, count - len(out)))
-    return out
+    return list(iter_stream(instance, SampleSpec(seed, count, size_bound), salt, keep))
 
 
 def stream(instance: Semiring, spec: SampleSpec, salt: str = "",
            keep: Callable[[object], bool] | None = None) -> list:
-    """spec.count payloads, or fewer where keep rejects too many draws."""
+    """spec.count payloads, or fewer where keep rejects too many draws; a
+    list, for callers that index, slice or reread it."""
     return _cached_stream(instance, spec.seed, spec.count, spec.size_bound, salt, keep)
 
 
 def _tuple_stream(instance: Semiring, spec: SampleSpec, salts: tuple[str, ...],
                   keep: Callable[[object], bool] | None, salt: str) -> Iterator[tuple]:
-    """spec.count tuples: the preamble power first, then one fresh stream per
-    position, zipped."""
-    pre = [p for p in instance.preamble if keep is None or keep(p)]
-    block = list(product(pre, repeat=len(salts)))[: spec.count]
-    yield from block
-    remaining = spec.count - len(block)
-    if remaining <= 0:
-        return
-    side = SampleSpec(spec.seed, remaining, spec.size_bound)
-    yield from zip(*(stream(instance, side, salt=salt + s, keep=keep) for s in salts))
+    """spec.count tuples, drawn lazily: the preamble power first, then one
+    fresh stream per position, zipped."""
+    pre = instance.preamble if keep is None else filter(keep, instance.preamble)
+    block = list(islice(product(pre, repeat=len(salts)), spec.count))
+    side = SampleSpec(spec.seed, spec.count - len(block), spec.size_bound)
+    return chain(block, zip(*(iter_stream(instance, side, salt + s, keep) for s in salts)))
 
 
 def pair_stream(instance: Semiring, spec: SampleSpec,
@@ -88,6 +93,7 @@ def first_counterexample(law: str, instance: Semiring, tuples: Iterable[tuple],
         failure = test(*payloads)
         if failure is not None:
             k, detail = failure
-            witness = tuple(Element(instance, p) for p in payloads[:k])
+            # indexed, not sliced: a k past the tuple is a fault of the law
+            witness = tuple(Element(instance, payloads[i]) for i in range(k))
             return law_counterexample(law, witness, spec, detail)
     return law_holds(law, spec)

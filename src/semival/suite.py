@@ -44,6 +44,7 @@ from .instances import get_instance
 from .laws import probe_mc_entire
 from .reports import SampleSpec
 from .sampling import stream
+from .semiring import Element
 from .valuation import (
     REGISTERED_VALUATIONS,
     check_min_property,
@@ -197,8 +198,9 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
     problems = []
     amb = D.ambient
     v = D.valuation
-    # parts (c) and (d) run on payloads; witnesses stay stream elements
-    raw, eq, add, mul = v.payload_fn, amb._eq, amb._add, amb._mul
+    # parts (c), (d) and (e) draw carrier payloads lazily; (c) and (d) test
+    # payloads and print a reported witness by its element text
+    raw, eq, add, mul, text = v.payload_fn, amb._eq, amb._add, amb._mul, amb._text
     zero = amb._zero()
 
     # (a) sampled finitely generated ideal pairs are comparable
@@ -219,28 +221,29 @@ def _dvs_battery(D: DVSStructure) -> list[str]:
             problems.append(f"ideal exponent mismatch for {I}")
             break
     # (c) normal forms round-trip exactly
-    for x in D.sample_carrier(FULL, salt="nf", nonzero=True):
-        unit, n = D.normal_form_payload(x.payload)
+    for x in D.carrier_payloads(FULL, "nf", nonzero=True):
+        unit, n = D.normal_form_payload(x)
         if raw(unit) != 0:
-            problems.append(f"normal-form unit of {x} has nonzero value")
+            problems.append(f"normal-form unit of {text(x)} has nonzero value")
             break
-        if not eq(mul(unit, D.power_payload(n)), x.payload):
-            problems.append(f"normal form of {x} does not multiply back")
+        if not eq(mul(unit, D.power_payload(n)), x):
+            problems.append(f"normal form of {text(x)} does not multiply back")
             break
     # (d) division with remainder is exact
-    xs = D.sample_carrier(FULL, salt="div-a")
-    ys = D.sample_carrier(FULL, salt="div-b", nonzero=True)
-    for a, b in zip(xs, ys):
-        q, r = D.divide_payloads(a.payload, b.payload)
-        if not eq(add(mul(q, b.payload), r), a.payload):
-            problems.append(f"a != qb + r at ({a}, {b})")
+    for a, b in zip(D.carrier_payloads(FULL, "div-a", nonzero=False),
+                    D.carrier_payloads(FULL, "div-b", nonzero=True)):
+        q, r = D.divide_payloads(a, b)
+        if not eq(add(mul(q, b), r), a):
+            problems.append(f"a != qb + r at ({text(a)}, {text(b)})")
             break
-        if not (eq(r, zero) or _raw_lt(raw(r), raw(b.payload))):
-            problems.append(f"remainder too large at ({a}, {b})")
+        if not (eq(r, zero) or _raw_lt(raw(r), raw(b))):
+            problems.append(f"remainder too large at ({text(a)}, {text(b)})")
             break
-    # (e) uniformizer powers shrink to zero: escape at exactly v(x) + 1
-    for x in D.sample_carrier(MID, salt="chain", nonzero=True):
-        n = raw(x.payload)
+    # (e) uniformizer powers shrink to zero: escape at exactly v(x) + 1; the
+    # probe under check takes an element, built one payload at a time
+    for p in D.carrier_payloads(MID, "chain", nonzero=True):
+        n = raw(p)
+        x = Element(amb, p)
         report = intersection_probe(D, x, n + 1)
         if not report.holds or report.detail != f"escapes at n={n + 1}":
             problems.append(f"chain probe failed at {x}: {report}")

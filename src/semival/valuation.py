@@ -14,6 +14,7 @@ values; the law loops and membership tests call it on payloads directly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -162,24 +163,29 @@ def check_min_property(v: Valuation, spec: SampleSpec) -> MinPropertyReport:
 def units_vs_zeroset(v: Valuation, spec: SampleSpec) -> LawReport:
     """Compare, over sampled elements of the nonnegative subsemiring, the
     closed-form unit test against the predicate v(x) = 0."""
-    from .sampling import first_counterexample, stream
+    from .sampling import first_counterexample, iter_stream
 
     law = f"units-zeroset[{v.rule}@{v.source.sid}]"
-    raw, unit, values = v.payload_fn, v.payload_unit, []
+    raw, unit, values = v.payload_fn, v.payload_unit, deque()
 
     def keep(p) -> bool:
-        values.append(raw(p))
-        return _nonnegative(values[-1])
+        r = raw(p)
+        if _nonnegative(r):
+            values.append(r)
+            return True
+        return False
 
     def test(p, r):
         is_u = unit(p)
         if is_u != (r == 0):
             return 1, "unit with v != 0" if is_u else "v = 0 but not a unit"
 
-    # keep records every value; the nonnegative ones belong to the kept payloads
-    kept = stream(v.source, spec, salt=f"uz:{v.rule}", keep=keep)
-    return first_counterexample(law, v.source, zip(kept, filter(_nonnegative, values)),
-                                test, spec)
+    # keep queues the value of each payload it keeps, and each kept payload
+    # takes the oldest queued value: at most the preamble's values wait.  The
+    # sentinel is fresh, since None is a value (inf, at zero)
+    kept = iter_stream(v.source, spec, f"uz:{v.rule}", keep)
+    return first_counterexample(law, v.source,
+                                zip(kept, iter(values.popleft, object())), test, spec)
 
 
 # -- rule registry --------------------------------------------------------------

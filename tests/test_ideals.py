@@ -103,6 +103,25 @@ def test_nat_oracle_large_generators():
     assert _nat_semigroup(gens).table is not None
 
 
+def test_nat_search_starts_each_level_in_its_congruence_class():
+    # 110 and 170 have gcd 10, which 254 shares only in 2: the search's
+    # middle level takes multiples s of 254 in one class modulo 10 / 2,
+    # started from (x mod 10) / 2; as 2 * 2 is not 1 modulo 5, a start from
+    # (x mod 10) * 2 falls in the wrong class.  A fresh semigroup per query
+    # answers each by the search, never the residue table; brute-force
+    # reachable sums check every answer up to past the largest non-member
+    gens, top = (110, 170, 254, 301), 2700
+    reach = [True] + [False] * top
+    for t in range(1, top + 1):
+        reach[t] = any(t >= g and reach[t - g] for g in gens)
+    # a run of 110 members, the least generator: every larger x is one too
+    assert all(reach[top - 110:]) and not reach[2577]
+    for x in range(top + 1):
+        semigroup = _NatSemigroup(gens)
+        assert semigroup.member(x) == reach[x], x
+        assert semigroup.table is None
+
+
 def _eager_residue_table(gens):
     # the whole table, filled before the first query: dist[r] is the least
     # semigroup element congruent to r modulo gens[0]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,7 @@ from semival.fracfield import extend_valuation
 from semival.instances import ALL_REGISTERED_IDS, get_instance
 from semival.laws import check_semiring_axioms
 from semival.reports import SampleSpec
-from semival.sampling import pair_stream, stream, triple_stream
+from semival.sampling import first_counterexample, pair_stream, stream, triple_stream
 from semival.semiring import Element
 from semival.valuation import REGISTERED_VALUATIONS, get_valuation
 
@@ -437,3 +438,72 @@ def test_carrier_streams_match_recorded_digests():
                      keep=lambda p: p != 0 and not D.in_carrier(p))
     got["qnn at 5 outside"] = _digest(((p,) for p in outside), D.ambient._text)
     assert got == CARRIER_DIGESTS
+
+
+def test_a_sampled_check_holds_no_stream():
+    # drawn whole, the three 20,000-payload streams of this check peak near
+    # 9 MB; drawn lazily the check holds one triple at a time
+    inst = get_instance("poly(nat)")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_semiring_axioms(inst, SampleSpec(1, 20_000, 50)).holds
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _late_failure(p, q):
+    # a nat pair law that first fails some hundreds of pairs in at seed 1
+    if p == q and p > 46:
+        return 2, "p = q > 46"
+
+
+def test_a_failing_law_draws_only_up_to_its_witness(monkeypatch):
+    nat = get_instance("nat")
+    spec = SampleSpec(1, 10_000, 50)
+    draws, sampler = [], nat._sampler
+
+    def counting_sampler(rng, bound):
+        draw, slot = sampler(rng, bound), len(draws)
+        draws.append(0)
+
+        def counted():
+            draws[slot] += 1
+            return draw()
+        return counted
+
+    monkeypatch.setattr(nat, "_sampler", counting_sampler)
+    seen = []
+
+    def test(p, q):
+        seen.append((p, q))
+        return _late_failure(p, q)
+
+    report = first_counterexample("late", nat, pair_stream(nat, spec), test, spec)
+    assert not report.holds
+    k = len(seen)
+    assert 500 < k < spec.count // 10
+    # one sampler per position, each drawn for about the k pairs tested: the
+    # 25 pairs of the preamble square and the 5 preamble payloads that head
+    # each position's stream come without a draw
+    assert len(draws) == 2
+    assert all(k - 25 - 5 - 1 <= n <= k for n in draws), (k, draws)
+
+
+def test_a_lazy_pair_stream_finds_the_witness_of_the_zipped_lists():
+    nat = get_instance("nat")
+    spec = SampleSpec(1, 10_000, 50)
+    report = first_counterexample("late", nat, pair_stream(nat, spec),
+                                  _late_failure, spec)
+    # the same pairs built from whole stream() lists, as before streams
+    # were drawn lazily
+    block = list(product(nat.preamble, repeat=2))
+    side = SampleSpec(spec.seed, spec.count - len(block), spec.size_bound)
+    eager = block + list(zip(stream(nat, side, salt="pair-a"),
+                             stream(nat, side, salt="pair-b")))
+    expected = next(pair for pair in eager if _late_failure(*pair))
+    assert tuple(x.payload for x in report.witness) == expected

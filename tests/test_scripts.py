@@ -56,7 +56,8 @@ def test_stream_cost_lists_every_stream():
                          env=env, capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stderr == ""
-    lines = out.stdout.splitlines()
+    timing, memory = out.stdout.split("\n\n")
+    lines = timing.splitlines()
     assert lines[1].split() == ["stream", "us/element", "us/_add", "us/_mul", "us/_eq"]
     rows = {line[:36].strip(): line[36:].split() for line in lines[3:]}
     labels = list(ALL_REGISTERED_IDS)
@@ -66,6 +67,13 @@ def test_stream_cost_lists_every_stream():
     assert list(rows) == labels
     for figures in rows.values():
         assert len(figures) == 4 and all(float(f) >= 0 for f in figures)
+    lines = memory.splitlines()
+    assert lines[1].split() == ["law", "peak", "KB"]
+    peaks = {line[:36].strip(): float(line[36:]) for line in lines[3:]}
+    assert list(peaks) == ["min-property vp:5@qnn (pairs)", "axioms poly(nat) (triples)"]
+    # each law holds O(1) samples: a drawn-whole stream of 10^4 payloads
+    # alone takes some megabytes
+    assert all(0 <= kb < 1024 for kb in peaks.values())
 
 
 def test_cold_start_lists_every_command(capsys):

@@ -2,14 +2,22 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from semival.dvs import standard_dvs_structures, value_group_valuation
-from semival.extended import MONOIDS, DomainMismatchError, ExtendedValue
+from semival.extended import (
+    MONOIDS,
+    DomainMismatchError,
+    ExtendedValue,
+    ext_add,
+    ext_compare,
+    ext_min,
+)
 from semival.fracfield import extend_valuation
-from semival.instances import get_instance
+from semival.instances import TropicalSemiring, get_instance
 from semival.reports import SampleSpec
 from semival.sampling import pair_stream, stream
 from semival.valuation import (
@@ -539,7 +547,6 @@ def test_axioms_refute_a_finite_sum_of_two_infinite_values():
 
 
 def test_units_vs_zeroset_values_each_element_once():
-    from dataclasses import replace
     qnn = get_instance("qnn")
     v = get_valuation("vp:5", qnn)
     calls = []
@@ -562,3 +569,97 @@ def test_extension_units_are_its_value_zero_set(rule, sid):
     ext = extend_valuation(get_valuation(rule, get_instance(sid)))
     report = units_vs_zeroset(ext, SPEC)
     assert report.holds, str(report)
+
+
+# Broken valuations, one for each branch of check_valuation_axioms, then one
+# for the min-property and two for units against the zero set.  Each passes
+# every branch checked before its own.  A rule with v(1) != 0 or a finite
+# v(0) cannot stay multiplicative (v(1) = v(1*1) = 2 v(1), v(0) = v(0*x) =
+# v(0) + v(x)), so those two break products as well, which their branch,
+# checked first, reports.  Each test checks the message, the witness arity,
+# and that the witness fails the same branch again through valuate.
+
+_VP5 = get_valuation("vp:5", get_instance("nat")).payload_fn
+
+
+def _refutes_one(v, x):
+    return v.source.eq(x, v.source.one) and valuate(v, x) != v.zero_value
+
+
+def _refutes_zero(v, x):
+    return x.is_zero() and not valuate(v, x).is_inf
+
+
+def _refutes_product(v, x, y):
+    return valuate(v, v.source.mul(x, y)) != ext_add(valuate(v, x), valuate(v, y))
+
+
+def _refutes_min(v, x, y):
+    return ext_compare(valuate(v, v.source.add(x, y)),
+                       ext_min(valuate(v, x), valuate(v, y))) < 0
+
+
+@pytest.mark.parametrize("domain, rule, detail, refuted", [
+    ("N0", lambda n: 1 if n == 1 else _VP5(n), "v(1) != 0", _refutes_one),
+    ("N0", lambda n: _VP5(n) if n else 0, "v(0) != inf", _refutes_zero),
+    # capped at 1: v(x+y) >= min still holds, but v(25) = 1 < v(5) + v(5)
+    ("N0", lambda n: None if n == 0 else min(_VP5(n), 1), "v(xy) != v(x)+v(y)",
+     _refutes_product),
+    # negated: products still add, but v(5 + 20) = -2 < min(-1, -1)
+    ("Z", lambda n: None if n == 0 else -_VP5(n), "v(x+y) < min", _refutes_min),
+], ids=["one", "zero", "product", "min"])
+def test_valuation_axioms_refute_broken_rules(domain, rule, detail, refuted):
+    nat = get_instance("nat")
+    v = Valuation("broken", nat, domain, rule, payload_unit=nat._is_unit,
+                  element_with_value=nat.element)
+    report = check_valuation_axioms(v, SPEC)
+    assert not report.holds
+    assert report.detail == detail
+    assert all(x.semiring is nat for x in report.witness)
+    assert len(report.witness) == refuted.__code__.co_argcount - 1
+    assert refuted(v, *report.witness)
+
+
+class _MaxPlus(TropicalSemiring):
+    """N0 under max and +, None the additive zero -inf, here only to carry
+    a rule: the values themselves, None read as inf, add under products and
+    never fall below the min under sums, but a sum of unequal values takes
+    the larger one."""
+
+    def __init__(self):
+        super().__init__("maxplus-nat", "N0")
+
+    @staticmethod
+    def _add(p, q):
+        return q if p is None else p if q is None else max(p, q)
+
+
+def test_min_property_refutes_a_valuation_on_max_plus():
+    inst = _MaxPlus()
+    v = Valuation("identity", inst, "N0", lambda p: p, payload_unit=inst._is_unit,
+                  element_with_value=inst.element)
+    assert check_valuation_axioms(v, SPEC).holds
+    report = check_min_property(v, SPEC)
+    assert not report.holds
+    assert len(report.witness) == 2 and (report.x, report.y) == report.witness
+    x, y = report.witness
+    vx, vy, vsum = valuate(v, x), valuate(v, y), valuate(v, inst.add(x, y))
+    assert vx != vy and vsum != ext_min(vx, vy)
+    assert report.detail == f"v(x)={vx} v(y)={vy} v(x+y)={vsum}"
+
+
+@pytest.mark.parametrize("unit, detail", [
+    (lambda q: q == 1, "v = 0 but not a unit"),
+    (lambda q: q != 0, "unit with v != 0"),
+], ids=["too-few-units", "too-many-units"])
+def test_units_vs_zeroset_refutes_a_broken_unit_test(unit, detail):
+    qnn = get_instance("qnn")
+    v = replace(get_valuation("vp:5", qnn), payload_unit=unit)
+    assert check_valuation_axioms(v, SPEC).holds
+    report = units_vs_zeroset(v, SPEC)
+    assert not report.holds
+    assert report.detail == detail
+    (x,) = report.witness
+    assert x.semiring is qnn and in_valuation_semiring(v, x)
+    assert v.unit_in_sv(x) != (valuate(v, x) == v.zero_value)
+    assert v.unit_in_sv(x) == (detail == "unit with v != 0")
